@@ -9,6 +9,11 @@ Nonzero polynomials over GF(2) are automatically monic, so gcds need no
 normalization.  Multiplication is schoolbook with word-level shifts;
 degrees stay around 4n (a few thousand) at desk scale, where this is
 faster than any asymptotically clever scheme would pay for.
+
+Bit-level rearrangements (spreading, interleaving, sampling, text and
+tuple conversion) all go through one byte-per-bit view of a mask,
+_bit_view and _view_mask, so that they run as C-level string and
+strided-slice operations instead of per-bit Python loops.
 """
 
 from __future__ import annotations
@@ -41,12 +46,6 @@ class F2Poly:
             bits |= c << i
         return cls(bits)
 
-    @classmethod
-    def x_pow(cls, k: int) -> "F2Poly":
-        if k < 0:
-            raise ValueError("exponent must be nonnegative")
-        return cls(1 << k)
-
     @property
     def degree(self) -> int | None:
         """Degree of the polynomial, or None for the zero polynomial."""
@@ -73,31 +72,18 @@ class F2Poly:
     __sub__ = __add__
 
     def __mul__(self, other: "F2Poly") -> "F2Poly":
-        a, b = self.bits, other.bits
-        if a < b:
-            a, b = b, a
-        acc = 0
-        while b:
-            if b & 1:
-                acc ^= a
-            a <<= 1
-            b >>= 1
-        return F2Poly(acc)
+        return F2Poly(_mul_int(self.bits, other.bits))
 
     def __mod__(self, other: "F2Poly") -> "F2Poly":
-        return F2Poly(_mod(self.bits, other.bits))
+        if other.bits == 0:
+            raise ZeroDivisionError("reduction modulo the zero polynomial")
+        return F2Poly(_divmod_int(self.bits, other.bits)[1])
 
     def __divmod__(self, other: "F2Poly") -> tuple["F2Poly", "F2Poly"]:
         if other.bits == 0:
             raise ZeroDivisionError("division by the zero polynomial")
-        q, r = 0, self.bits
-        db = other.bits.bit_length()
-        while True:
-            shift = r.bit_length() - db
-            if shift < 0:
-                return F2Poly(q), F2Poly(r)
-            q ^= 1 << shift
-            r ^= other.bits << shift
+        q, r = _divmod_int(self.bits, other.bits)
+        return F2Poly(q), F2Poly(r)
 
     def __floordiv__(self, other: "F2Poly") -> "F2Poly":
         return divmod(self, other)[0]
@@ -112,15 +98,38 @@ class F2Poly:
         return f"F2Poly({' + '.join(terms)})"
 
 
-def _mod(a: int, b: int) -> int:
-    if b == 0:
-        raise ZeroDivisionError("reduction modulo the zero polynomial")
-    db = b.bit_length()
+def _divmod_int(a: int, b: int) -> tuple[int, int]:
+    """Long division of packed polynomials: (quotient, remainder); b must be nonzero."""
+    q, db = 0, b.bit_length()
     while True:
         shift = a.bit_length() - db
         if shift < 0:
-            return a
+            return q, a
+        q ^= 1 << shift
         a ^= b << shift
+
+
+def _mul_int(a: int, b: int) -> int:
+    """Schoolbook product of packed polynomials."""
+    if a < b:
+        a, b = b, a
+    acc = 0
+    while b:
+        if b & 1:
+            acc ^= a
+        a <<= 1
+        b >>= 1
+    return acc
+
+
+def _bit_view(mask: int, n: int) -> bytes:
+    """Byte-per-bit view of a mask below 2**n: byte i is b"1" iff bit i is set."""
+    return format(mask, f"0{n}b")[::-1].encode()
+
+
+def _view_mask(view) -> int:
+    """Pack a byte-per-bit view (bytes or a str of '0'/'1') back into a mask."""
+    return int(view[::-1], 2) if view else 0
 
 
 ZERO = F2Poly(0)
@@ -137,23 +146,18 @@ def seq_poly(a: "BinarySeq") -> F2Poly:
     return F2Poly(a.mask)
 
 
-def add(f: F2Poly, g: F2Poly) -> F2Poly:
-    """Coefficient-wise XOR."""
-    return f + g
-
-
 def mul_mod(f: F2Poly, g: F2Poly, m: F2Poly) -> F2Poly:
     """(f * g) reduced mod m; m must be nonzero."""
     if m.bits == 0:
         raise ZeroDivisionError("zero modulus")
-    return F2Poly(_mod((f * g).bits, m.bits))
+    return F2Poly(_divmod_int(_mul_int(f.bits, g.bits), m.bits)[1])
 
 
 def gcd(f: F2Poly, g: F2Poly) -> F2Poly:
     """Greatest common divisor; gcd(0, g) = g and gcd(0, 0) = 0."""
     a, b = f.bits, g.bits
     while b:
-        a, b = b, _mod(a, b)
+        a, b = b, _divmod_int(a, b)[1]
     return F2Poly(a)
 
 
@@ -163,26 +167,14 @@ def pow_mod(f: F2Poly, e: int, m: F2Poly) -> F2Poly:
         raise ValueError("exponent must be nonnegative")
     if m.bits == 0:
         raise ZeroDivisionError("zero modulus")
-    result = _mod(1, m.bits)
-    base = _mod(f.bits, m.bits)
+    result = _divmod_int(1, m.bits)[1]
+    base = _divmod_int(f.bits, m.bits)[1]
     while e:
         if e & 1:
-            result = _mod(_mul_int(result, base), m.bits)
-        base = _mod(_mul_int(base, base), m.bits)
+            result = _divmod_int(_mul_int(result, base), m.bits)[1]
+        base = _divmod_int(_mul_int(base, base), m.bits)[1]
         e >>= 1
     return F2Poly(result)
-
-
-def _mul_int(a: int, b: int) -> int:
-    if a < b:
-        a, b = b, a
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        a <<= 1
-        b >>= 1
-    return acc
 
 
 def all_ones(n: int) -> F2Poly:
@@ -196,14 +188,12 @@ def stretch(f: F2Poly, k: int) -> F2Poly:
     """Substitute x -> x**k, spreading coefficient i to position k*i."""
     if k < 1:
         raise ValueError("stretch factor must be positive")
-    if k == 1:
+    n = f.bits.bit_length()
+    if k == 1 or n == 0:
         return f
-    bits, out = f.bits, 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << (k * (low.bit_length() - 1))
-        bits ^= low
-    return F2Poly(out)
+    view = bytearray(b"0") * (k * n)
+    view[::k] = _bit_view(f.bits, n)
+    return F2Poly(_view_mask(view))
 
 
 def x_pow_n_plus_1(n: int) -> F2Poly:

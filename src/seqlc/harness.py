@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +52,8 @@ FAMILIES = (
 CSV_HEADER = (
     "n,r,s,lc_direct,lc_bm,lc_formula,z_ab,z_sum,attains_max,two_adic_max"
 )
+_CSV_FIELDS = operator.itemgetter(*CSV_HEADER.split(","))
+_CSV_FLAGS = ("false", "true")
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +283,10 @@ def theorem5_campaigns(ps=(7, 11, 19, 23)) -> list[CampaignSpec]:
                 family_b="legendre-prime",
                 param=p,
                 grid=_shift_grid(range(1, p)),
-                expectation=Expectation(lc_exact=2 * p + 2, two_adic_max=p <= 127),
+                expectation=Expectation(
+                    lc_exact=2 * p + 2,
+                    two_adic_max=True if p <= 127 else None,
+                ),
             )
         )
         # r = 0 is outside the claimed range; recorded without assertion.
@@ -340,7 +346,9 @@ def example1_campaign(p: int = 31) -> list[CampaignSpec]:
             family_b="hall",
             param=p,
             grid=grid,
-            expectation=Expectation(lc_exact=lc, two_adic_max=p <= 127),
+            expectation=Expectation(
+                lc_exact=lc, two_adic_max=True if p <= 127 else None
+            ),
         )
     ]
 
@@ -394,7 +402,10 @@ def theorem7_campaigns(p: int = 43, full_s: bool = False) -> list[CampaignSpec]:
                 family_b="hall",
                 param=p,
                 grid=asserted,
-                expectation=Expectation(lc_exact=2 * p + 2, two_adic_max=p <= 127),
+                expectation=Expectation(
+                    lc_exact=2 * p + 2,
+                    two_adic_max=True if p <= 127 else None,
+                ),
             )
         )
         if recorded:
@@ -459,7 +470,10 @@ def remarks_campaigns(p: int = 31, full_s: bool = False) -> list[CampaignSpec]:
                 family_b="hall",
                 param=p,
                 grid=grid,
-                expectation=Expectation(lc_below=2 * p + 2, two_adic_max=p <= 127),
+                expectation=Expectation(
+                    lc_below=2 * p + 2,
+                    two_adic_max=True if p <= 127 else None,
+                ),
             )
         )
     return specs
@@ -580,11 +594,11 @@ def named_campaigns(name: str, **kw) -> list[CampaignSpec]:
 
 
 def _report_dict(report: LCReport) -> dict:
-    d = dataclasses.asdict(report)
-    d["autocorr_values"] = {
-        str(v): report.autocorr_values[v] for v in sorted(report.autocorr_values)
+    profile = report.autocorr_values
+    return {
+        **vars(report),
+        "autocorr_values": {str(v): profile[v] for v in sorted(profile)},
     }
-    return d
 
 
 def results_to_json(results: list[CampaignResult]) -> str:
@@ -612,17 +626,13 @@ def results_to_json(results: list[CampaignResult]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_row(report: LCReport, r: int, s: int) -> str:
-    flags = ["false", "true"]
-    return ",".join(
-        str(v)
-        for v in (
-            report.n, r, s,
-            report.lc_direct, report.lc_bm, report.lc_formula,
-            report.z_ab, report.z_sum,
-            flags[report.attains_max], flags[report.two_adic_max],
-        )
-    )
+def _csv_row(fields) -> str:
+    """One CSV line from a mapping that holds every CSV_HEADER column."""
+    try:
+        *numbers, attains, two_adic = _CSV_FIELDS(fields)
+    except KeyError as exc:
+        raise ValueError(f"report point has no field {exc.args[0]!r}") from None
+    return ",".join([*map(str, numbers), _CSV_FLAGS[attains], _CSV_FLAGS[two_adic]])
 
 
 def results_to_csv(results: list[CampaignResult]) -> str:
@@ -631,7 +641,7 @@ def results_to_csv(results: list[CampaignResult]) -> str:
     for res in results:
         for pt in res.points:
             if pt.report is not None:
-                out.write(_csv_row(pt.report, pt.r, pt.s) + "\n")
+                out.write(_csv_row({**vars(pt.report), **vars(pt)}) + "\n")
     return out.getvalue()
 
 
@@ -640,19 +650,10 @@ def json_to_csv(text: str) -> str:
     payload = json.loads(text)
     out = StringIO()
     out.write(CSV_HEADER + "\n")
-    flags = ["false", "true"]
     for camp in payload["campaigns"]:
         for pt in camp["points"]:
-            rep = pt["report"]
-            if rep is None:
-                continue
-            row = (
-                rep["n"], pt["r"], pt["s"],
-                rep["lc_direct"], rep["lc_bm"], rep["lc_formula"],
-                rep["z_ab"], rep["z_sum"],
-                flags[rep["attains_max"]], flags[rep["two_adic_max"]],
-            )
-            out.write(",".join(str(v) for v in row) + "\n")
+            if pt["report"] is not None:
+                out.write(_csv_row({**pt["report"], **pt}) + "\n")
     return out.getvalue()
 
 

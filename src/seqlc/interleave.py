@@ -17,18 +17,9 @@ whenever a and b both have ideal autocorrelation.
 
 from __future__ import annotations
 
+from .f2poly import _bit_view, _view_mask
 from .numtheory import mod_inverse
-from .sequences import BinarySeq, complement, shift
-
-
-def _spread4(mask: int) -> int:
-    """Move bit i to bit 4i."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << (4 * (low.bit_length() - 1))
-        mask ^= low
-    return out
+from .sequences import BinarySeq, _xor_weights, complement, shift
 
 
 def interleave4(A: BinarySeq, B: BinarySeq, C: BinarySeq, D: BinarySeq) -> BinarySeq:
@@ -36,13 +27,10 @@ def interleave4(A: BinarySeq, B: BinarySeq, C: BinarySeq, D: BinarySeq) -> Binar
     n = A.period
     if not (B.period == C.period == D.period == n):
         raise ValueError("all four sequences must share one period")
-    mask = (
-        _spread4(A.mask)
-        | (_spread4(B.mask) << 1)
-        | (_spread4(C.mask) << 2)
-        | (_spread4(D.mask) << 3)
-    )
-    return BinarySeq(mask, 4 * n)
+    view = bytearray(4 * n)
+    for k, column in enumerate((A, B, C, D)):
+        view[k::4] = _bit_view(column.mask, n)
+    return BinarySeq(_view_mask(view), 4 * n)
 
 
 def tang_ding(a: BinarySeq, b: BinarySeq) -> BinarySeq:
@@ -87,11 +75,5 @@ def is_optimal(w: BinarySeq) -> bool:
     N = w.period
     if N % 4 != 0:
         raise ValueError(f"optimal autocorrelation needs period = 0 mod 4, got {N}")
-    mask = w.mask
-    full = (1 << N) - 1
-    half, half2 = N // 2, N // 2 + 2  # XOR weights giving A = 0 and A = -4
-    for tau in range(1, N):
-        rot = ((mask >> tau) | (mask << (N - tau))) & full
-        if (mask ^ rot).bit_count() not in (half, half2):
-            return False
-    return True
+    allowed = (N // 2, N // 2 + 2)  # XOR weights giving A = 0 and A = -4
+    return all(weight in allowed for weight in _xor_weights(w))

@@ -26,13 +26,18 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
 from . import f2poly
-from .f2poly import F2Poly
+from .f2poly import F2Poly, _bit_view, _view_mask
 from .numtheory import (
     cyclotomic_classes6,
     factorize,
     is_prime,
     primitive_roots,
 )
+
+
+# Between 0/1 entries and the b"0"/b"1" digits of the f2poly byte view.
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class BinarySeq:
@@ -53,25 +58,22 @@ class BinarySeq:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BinarySeq":
-        mask, length = 0, 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("sequence entries must be 0 or 1")
-            mask |= b << length
-            length += 1
-        return cls(mask, length)
+        try:
+            raw = bytes(tuple(bits))
+            if raw.translate(None, b"\0\1"):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError("sequence entries must be 0 or 1") from None
+        return cls(_view_mask(raw.translate(_TO_DIGITS)), len(raw))
 
     @classmethod
     def from_string(cls, text: str) -> "BinarySeq":
-        mask = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                mask |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"invalid character {ch!r} at offset {i}")
+        i = len(text) - len(text.lstrip("01"))  # offset of the first other character
+        if i < len(text):
+            raise ValueError(f"invalid character {text[i]!r} at offset {i}")
         if not text:
             raise ValueError("empty sequence")
-        return cls(mask, len(text))
+        return cls(_view_mask(text), len(text))
 
     @classmethod
     def zeros(cls, period: int) -> "BinarySeq":
@@ -83,7 +85,7 @@ class BinarySeq:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple((self.mask >> i) & 1 for i in range(self.period))
+        return tuple(_bit_view(self.mask, self.period).translate(_FROM_DIGITS))
 
     @property
     def weight(self) -> int:
@@ -112,7 +114,7 @@ class BinarySeq:
         return (BinarySeq, (self.mask, self.period))
 
     def to_string(self) -> str:
-        return "".join("01"[(self.mask >> i) & 1] for i in range(self.period))
+        return _bit_view(self.mask, self.period).decode()
 
     def __repr__(self) -> str:
         if self.period <= 40:
@@ -155,16 +157,12 @@ def sample(a: BinarySeq, s: int) -> BinarySeq:
     s %= n
     if math.gcd(s, n) != 1:
         raise ValueError(f"sample index {s} is not coprime to period {n}")
-    if s == 1:
+    if s == 1 or n == 1:
         return a
-    mask, j = 0, 0
-    src = a.mask
-    for i in range(n):
-        mask |= ((src >> j) & 1) << i
-        j += s
-        if j >= n:
-            j -= n
-    return BinarySeq(mask, n)
+    # Output bits i = 0, 1, ... read inputs 0, s, 2s, ... mod n: runs of
+    # stride s, where the run after one starting at j starts at (j - n) mod s.
+    view = _bit_view(a.mask, n)
+    return BinarySeq(_view_mask(b"".join(view[-k * n % s :: s] for k in range(s))), n)
 
 
 def apply_group(a: BinarySeq, sigma: GroupElement) -> BinarySeq:
@@ -174,23 +172,27 @@ def apply_group(a: BinarySeq, sigma: GroupElement) -> BinarySeq:
 
 def autocorrelation(a: BinarySeq, tau: int) -> int:
     """Signed correlation of a with its shift by tau: sum of (-1)^(a_i + a_{i+tau})."""
-    n = a.period
-    tau %= n
-    if tau == 0:
-        return n
-    full = (1 << n) - 1
-    rot = ((a.mask >> tau) | (a.mask << (n - tau))) & full
-    return n - 2 * (a.mask ^ rot).bit_count()
+    return a.period - 2 * (a.mask ^ shift(a, tau).mask).bit_count()
+
+
+def _xor_weights(a: BinarySeq) -> Iterator[int]:
+    """Weight of a XOR L^tau(a) for tau = 1 .. N-1; A(tau) is N minus twice it.
+
+    A generator, so that verdicts consuming it through all() stop at the
+    first bad shift.
+    """
+    n, m = a.period, a.mask
+    full, twice = (1 << n) - 1, m | (m << n)  # two periods: L^tau is one shift
+    for tau in range(1, n):
+        yield (m ^ ((twice >> tau) & full)).bit_count()
 
 
 def autocorrelation_profile(a: BinarySeq) -> dict[int, int]:
     """Multiset {value: count} of autocorrelations over all nonzero shifts."""
-    n, m = a.period, a.mask
-    full = (1 << n) - 1
+    n = a.period
     counts: dict[int, int] = {}
-    for tau in range(1, n):
-        rot = ((m >> tau) | (m << (n - tau))) & full
-        v = n - 2 * (m ^ rot).bit_count()
+    for weight in _xor_weights(a):
+        v = n - 2 * weight
         counts[v] = counts.get(v, 0) + 1
     return counts
 
@@ -205,14 +207,8 @@ def is_ideal(a: BinarySeq) -> bool:
     n = a.period
     if n % 4 != 3:
         raise ValueError(f"ideal autocorrelation needs period = 3 mod 4, got {n}")
-    m = a.mask
-    full = (1 << n) - 1
     target = (n + 1) // 2  # A(tau) = -1 iff the XOR weight is (n+1)/2
-    for tau in range(1, n):
-        rot = ((m >> tau) | (m << (n - tau))) & full
-        if (m ^ rot).bit_count() != target:
-            return False
-    return True
+    return all(weight == target for weight in _xor_weights(a))
 
 
 # ---------------------------------------------------------------------------
@@ -281,8 +277,12 @@ def m_sequence(l: int, char_poly: F2Poly | None = None, alpha_exp: int = 0) -> B
 # Legendre sequences
 
 
-def _qr_set(p: int) -> set[int]:
-    return {i * i % p for i in range(1, p)}
+def _qr_view(p: int) -> bytearray:
+    """Byte-per-bit view of the nonzero quadratic residues mod p."""
+    view = bytearray(b"0") * p
+    for i in range(1, p):
+        view[i * i % p] = ord("1")
+    return view
 
 
 def legendre_seq(p: int, variant: Literal["ell", "ell_prime"] = "ell") -> BinarySeq:
@@ -295,10 +295,10 @@ def legendre_seq(p: int, variant: Literal["ell", "ell_prime"] = "ell") -> Binary
         raise ValueError(f"{p} is not a prime congruent to 3 mod 4")
     if variant not in ("ell", "ell_prime"):
         raise ValueError(f"unknown variant {variant!r}")
-    mask = 1 if variant == "ell_prime" else 0
-    for i in _qr_set(p):
-        mask |= 1 << i
-    return BinarySeq(mask, p)
+    view = _qr_view(p)
+    if variant == "ell_prime":
+        view[0] = ord("1")
+    return BinarySeq(_view_mask(view), p)
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +361,10 @@ def twin_prime_seq(p: int, variant: Literal["t", "tau_t"] = "t") -> BinarySeq:
     if variant not in ("t", "tau_t"):
         raise ValueError(f"unknown variant {variant!r}")
     n = p * q
-    qr_p = _qr_set(p)
-    qr_q = _qr_set(q)
-    ones_on = -1 if variant == "t" else 1
-    mask = 0
-    for i in range(1, n):
-        ip, iq = i % p, i % q
-        if ip == 0:
-            mask |= 1 << i
-        elif iq == 0:
-            continue
-        else:
-            chi = (1 if ip in qr_p else -1) * (1 if iq in qr_q else -1)
-            if chi == ones_on:
-                mask |= 1 << i
-    return BinarySeq(mask, n)
+    # A unit i has (i/p)(i/q) = -1 iff it is a square mod exactly one prime;
+    # tiling each residue view gives bit i = "i mod p (or q) is a square".
+    minus = _view_mask(_qr_view(p) * q) ^ _view_mask(_qr_view(q) * p)
+    view = bytearray(_bit_view(minus if variant == "t" else minus ^ ((1 << n) - 1), n))
+    view[::p] = b"1" * q  # nonzero multiples of p; bit 0 is cleared next
+    view[::q] = b"0" * p  # multiples of q, bit 0 included
+    return BinarySeq(_view_mask(view), n)

@@ -84,6 +84,15 @@ class TestRunCampaign:
         assert [(pt.r, pt.s) for pt in res.points] == [(r, 1) for r in range(1, 7)]
         assert all(pt.report.lc_formula == 16 for pt in res.points)
 
+    def test_two_adic_verdict_not_asserted_beyond_p127(self):
+        # The 2-adic claim covers n <= 127 only; at p = 131 the expectation
+        # must leave two_adic_max unasserted, not require it to be False.
+        spec = next(s for s in theorem5_campaigns(ps=(131,)) if s.expectation)
+        assert spec.expectation.two_adic_max is None
+        res = run_campaign(spec)
+        assert len(res.points) == 130
+        assert res.passed, [pt.failures for pt in res.points if not pt.passed][:3]
+
     def test_empty_expectation_passes_vacuously(self):
         spec = CampaignSpec(
             name="recorded-only",
@@ -274,6 +283,16 @@ class TestCli:
         src.write_text(results_to_json([res]))
         assert main(["report", str(src), "--format", "csv"]) == 0
         assert capsys.readouterr().out == results_to_csv([res])
+
+    def test_report_missing_field_is_one_line_error(self, tmp_path, capsys):
+        payload = json.loads(results_to_json([run_campaign(theorem5_p7())]))
+        del payload["campaigns"][0]["points"][2]["s"]
+        src = tmp_path / "r.json"
+        src.write_text(json.dumps(payload))
+        assert main(["report", str(src), "--format", "csv"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'s'" in err
 
     def test_bad_file_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"

@@ -1,0 +1,181 @@
+"""Property tests of the bit-packed paths against list-based references.
+
+Each reference below works on plain lists of 0/1 and shares no code with
+the byte-per-bit view, the rotate-XOR-popcount kernel or the bit packing
+it checks.  Periods run from 1 to 200, with periods = 0 and = 3 (mod 4)
+drawn explicitly because is_optimal and is_ideal are defined only there.
+"""
+
+import math
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqlc.f2poly import F2Poly, stretch
+from seqlc.interleave import interleave4, is_optimal, tang_ding
+from seqlc.sequences import (
+    BinarySeq,
+    GroupElement,
+    apply_group,
+    autocorrelation,
+    autocorrelation_profile,
+    complement,
+    is_ideal,
+    legendre_seq,
+    m_sequence,
+    sample,
+    twin_prime_seq,
+)
+
+MAX_N = 200
+
+periods = st.one_of(
+    st.integers(1, MAX_N),
+    st.integers(1, MAX_N // 4).map(lambda k: 4 * k),
+    st.integers(0, (MAX_N - 3) // 4).map(lambda k: 4 * k + 3),
+)
+
+
+@st.composite
+def bit_lists(draw, period=periods):
+    n = draw(period)
+    return bits_of(draw(st.integers(0, 2**n - 1)), n)
+
+
+def bits_of(mask, n):
+    return [(mask >> i) & 1 for i in range(n)]
+
+
+def mask_of(bits):
+    return sum(b << i for i, b in enumerate(bits))
+
+
+def seq(bits):
+    return BinarySeq(mask_of(bits), len(bits))
+
+
+def ref_autocorr(bits, tau):
+    n = len(bits)
+    return sum(1 if bits[i] == bits[(i + tau) % n] else -1 for i in range(n))
+
+
+def ref_profile(bits):
+    return dict(Counter(ref_autocorr(bits, tau) for tau in range(1, len(bits))))
+
+
+# Ideal-autocorrelation sequences of period <= 200 (= 3 mod 4), so that the
+# verdicts are checked on True as well as on False.
+IDEAL_BASES = (
+    [legendre_seq(p, v) for p in (3, 7, 11, 19, 23, 43, 67, 103, 131, 199)
+     for v in ("ell", "ell_prime")]
+    + [m_sequence(l) for l in (2, 3, 4, 5, 6, 7)]
+    + [twin_prime_seq(p, v) for p in (3, 5, 11) for v in ("t", "tau_t")]
+)
+
+
+@st.composite
+def ideal_seqs(draw, period=None):
+    bases = [b for b in IDEAL_BASES if period is None or b.period == period]
+    a = draw(st.sampled_from(bases))
+    n = a.period
+    s = draw(st.integers(1, n).filter(lambda s: math.gcd(s, n) == 1))
+    a = apply_group(a, GroupElement(draw(st.integers(0, n - 1)), s))
+    return complement(a) if draw(st.booleans()) else a
+
+
+def flip(a, i):
+    return BinarySeq(a.mask ^ (1 << (i % a.period)), a.period)
+
+
+class TestCorrelationKernel:
+    @given(bit_lists(), st.integers(-2 * MAX_N, 2 * MAX_N))
+    def test_autocorrelation(self, bits, tau):
+        assert autocorrelation(seq(bits), tau) == ref_autocorr(bits, tau)
+
+    @given(bit_lists())
+    def test_profile(self, bits):
+        assert autocorrelation_profile(seq(bits)) == ref_profile(bits)
+
+    @given(bit_lists(periods.filter(lambda n: n % 4 == 3)))
+    def test_is_ideal_random(self, bits):
+        expected = all(v == -1 for v in ref_profile(bits))
+        assert is_ideal(seq(bits)) == expected
+
+    @given(ideal_seqs(), st.integers(0, MAX_N))
+    def test_is_ideal_true_and_after_one_flip(self, a, i):
+        bits = list(a.bits)
+        assert is_ideal(a) and set(ref_profile(bits)) == {-1}
+        b = flip(a, i)
+        assert is_ideal(b) == (set(ref_profile(list(b.bits))) == {-1})
+
+    @given(bit_lists(periods.filter(lambda n: n % 4 == 0)))
+    def test_is_optimal_random(self, bits):
+        expected = set(ref_profile(bits)) <= {0, -4}
+        assert is_optimal(seq(bits)) == expected
+
+    @settings(max_examples=30)  # the list reference is O(N^2) at N up to 796
+    @given(st.data())
+    def test_is_optimal_true_and_after_one_flip(self, data):
+        a = data.draw(ideal_seqs())
+        b = data.draw(ideal_seqs(period=a.period))
+        w = tang_ding(a, b)
+        assert is_optimal(w) and set(ref_profile(list(w.bits))) <= {0, -4}
+        v = flip(w, data.draw(st.integers(0, 4 * MAX_N)))
+        assert is_optimal(v) == (set(ref_profile(list(v.bits))) <= {0, -4})
+
+
+class TestByteView:
+    @given(st.integers(0, 2**MAX_N - 1), st.integers(1, 9))
+    def test_stretch(self, mask, k):
+        coeffs = bits_of(mask, mask.bit_length())
+        spread = [0] * (k * len(coeffs))
+        spread[::k] = coeffs
+        assert stretch(F2Poly(mask), k) == F2Poly(mask_of(spread))
+
+    @given(st.data())
+    def test_interleave4(self, data):
+        n = data.draw(periods)
+        cols = [data.draw(bit_lists(st.just(n))) for _ in range(4)]
+        w = interleave4(*map(seq, cols))
+        assert w.period == 4 * n
+        assert list(w.bits) == [cols[i % 4][i // 4] for i in range(4 * n)]
+
+    @given(bit_lists(), st.integers(-MAX_N, 2 * MAX_N))
+    def test_sample(self, bits, s):
+        n = len(bits)
+        if math.gcd(s % n, n) != 1:
+            with pytest.raises(ValueError, match="not coprime"):
+                sample(seq(bits), s)
+        else:
+            assert list(sample(seq(bits), s).bits) == [bits[s * i % n] for i in range(n)]
+
+    @given(bit_lists())
+    def test_round_trips(self, bits):
+        text = "".join(map(str, bits))
+        a = BinarySeq.from_bits(bits)
+        assert (a.mask, a.period) == (mask_of(bits), len(bits))
+        assert a.bits == tuple(bits) and list(a) == bits
+        assert a.to_string() == text
+        assert BinarySeq.from_string(text) == a
+        assert BinarySeq.from_bits(a.bits) == a
+
+    @given(bit_lists(), st.integers(0, MAX_N), st.sampled_from("2x _+-\n١"))
+    def test_from_string_names_first_bad_character(self, bits, i, ch):
+        text = "".join(map(str, bits))
+        i %= len(text) + 1
+        with pytest.raises(ValueError, match=f"at offset {i}$"):
+            BinarySeq.from_string(text[:i] + ch + text[i:])
+
+    @given(bit_lists(), st.integers(0, MAX_N), st.sampled_from([2, -1, 48, 256, "1"]))
+    def test_from_bits_rejects_other_entries(self, bits, i, bad):
+        i %= len(bits) + 1
+        with pytest.raises(ValueError, match="sequence entries must be 0 or 1"):
+            BinarySeq.from_bits(bits[:i] + [bad] + bits[i:])
+
+    def test_empty_inputs(self):
+        with pytest.raises(ValueError, match="empty sequence"):
+            BinarySeq.from_string("")
+        with pytest.raises(ValueError, match="period must be at least 1"):
+            BinarySeq.from_bits([])
