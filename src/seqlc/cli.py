@@ -17,6 +17,7 @@ input is invalid.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import harness
@@ -32,7 +33,6 @@ from .harness import (
     emit_report,
     read_sequence,
     run_campaigns,
-    write_sequence,
 )
 from .interleave import is_optimal, tang_ding
 from .sequences import (
@@ -115,15 +115,14 @@ def _cmd_lc(args) -> int:
 def _cmd_interleave(args) -> int:
     a = read_sequence(args.sequence_a)
     b = read_sequence(args.sequence_b)
-    w = tang_ding(a, b)
-    if args.out is None:
-        sys.stdout.write(w.to_string() + "\n")
-    else:
-        write_sequence(args.out, w)
+    _out(tang_ding(a, b).to_string() + "\n", args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ValueError(f"--jobs must be between 1 and {cpus}")
     specs = harness.named_campaigns(
         args.campaign, full_s=args.full_s, seed=args.seed
     )
@@ -203,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--seed", type=int, default=20240901,
                       help="seed for the randomized consistency sweep")
     p_vf.add_argument("--jobs", type=int, default=1,
-                      help="grid points run in this many processes")
+                      help="processes in the run's one pool (1 to the CPU count)")
     p_vf.set_defaults(func=_cmd_verify)
 
     p_rp = sub.add_parser("report", help="convert an emitted JSON report")

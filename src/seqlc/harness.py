@@ -25,6 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
+from itertools import islice
 
 from .complexity import LCReport, analyze_pair
 from .numtheory import legendre_symbol
@@ -124,6 +125,8 @@ class CampaignSpec:
     variant_b: str | None = None
 
     def __post_init__(self):
+        if self.param_b is None:
+            object.__setattr__(self, "param_b", self.param)
         if not self.grid:
             raise ValueError("campaign grid must be nonempty")
         for fam in (self.family_a, self.family_b):
@@ -136,7 +139,7 @@ class CampaignSpec:
             "family_a": self.family_a,
             "family_b": self.family_b,
             "param": self.param,
-            "param_b": self.param if self.param_b is None else self.param_b,
+            "param_b": self.param_b,
             "grid_size": len(self.grid),
             "variant_a": self.variant_a,
             "variant_b": self.variant_b,
@@ -222,36 +225,51 @@ def _run_point(base_a, base_b, sigma, expectation):
     )
 
 
-def _point_star(args):
-    return _run_point(*args)
-
-
-def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignResult:
-    """Execute every grid point; aggregation order is lexicographic in (r, s)."""
-    t0 = time.perf_counter()
-    param_b = spec.param if spec.param_b is None else spec.param_b
-    base_a = build_family(spec.family_a, spec.param, spec.variant_a)
-    base_b = build_family(spec.family_b, param_b, spec.variant_b)
-    grid = sorted(spec.grid, key=lambda g: (g.r, g.s))
-    tasks = [(base_a, base_b, sigma, spec.expectation) for sigma in grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            points = tuple(pool.map(_point_star, tasks, chunksize=8))
-    else:
-        points = tuple(_point_star(t) for t in tasks)
-    passed = all(p.passed for p in points)
-    return CampaignResult(
-        spec=spec, points=points, passed=passed,
-        wall_time_s=time.perf_counter() - t0,
-    )
+def _regroup(specs, points) -> list[CampaignResult]:
+    """Cut the flat point stream into one CampaignResult per spec, in order."""
+    results, t0 = [], time.perf_counter()
+    for spec in specs:
+        pts = tuple(islice(points, len(spec.grid)))
+        t1 = time.perf_counter()
+        results.append(CampaignResult(spec, pts, all(p.passed for p in pts), t1 - t0))
+        t0 = t1
+    return results
 
 
 def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
-    return [run_campaign(spec, jobs=jobs) for spec in specs]
+    """Execute every grid point of every spec, through one pool when jobs > 1.
+
+    Grids run in (r, s) order and regroup per spec in spec order, so results
+    do not depend on jobs.  wall_time_s runs from the previous campaign's
+    last point to this campaign's last point.
+    """
+    bases_a, bases_b, sigmas, expectations = [], [], [], []
+    for spec in specs:
+        base_a = build_family(spec.family_a, spec.param, spec.variant_a)
+        base_b = build_family(spec.family_b, spec.param_b, spec.variant_b)
+        k = len(spec.grid)
+        bases_a += [base_a] * k
+        bases_b += [base_b] * k
+        sigmas += sorted(spec.grid, key=lambda g: (g.r, g.s))
+        expectations += [spec.expectation] * k
+    columns = (bases_a, bases_b, sigmas, expectations)
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return _regroup(specs, pool.map(_run_point, *columns, chunksize=8))
+    return _regroup(specs, map(_run_point, *columns))
 
 
 # ---------------------------------------------------------------------------
 # Named campaigns
+
+# Campaigns assert 2-adic maximality only for base periods n up to this;
+# above it the verdict is reported but not checked.
+TWO_ADIC_MAX_N = 127
+
+
+def _expect(n: int, **lc) -> Expectation:
+    """The LC claim in lc (lc_exact or lc_below) plus the 2-adic policy above."""
+    return Expectation(**lc, two_adic_max=True if n <= TWO_ADIC_MAX_N else None)
 
 
 def _shift_grid(r_range, s: int = 1) -> tuple[GroupElement, ...]:
@@ -283,10 +301,7 @@ def theorem5_campaigns(ps=(7, 11, 19, 23)) -> list[CampaignSpec]:
                 family_b="legendre-prime",
                 param=p,
                 grid=_shift_grid(range(1, p)),
-                expectation=Expectation(
-                    lc_exact=2 * p + 2,
-                    two_adic_max=True if p <= 127 else None,
-                ),
+                expectation=_expect(p, lc_exact=2 * p + 2),
             )
         )
         # r = 0 is outside the claimed range; recorded without assertion.
@@ -315,7 +330,7 @@ def msequence_campaigns(ls=(3, 4, 5)) -> list[CampaignSpec]:
                 family_b="m-sequence",
                 param=l,
                 grid=_shift_grid(range(1, n)),
-                expectation=Expectation(lc_exact=2 * l + 4, two_adic_max=True),
+                expectation=_expect(n, lc_exact=2 * l + 4),
             )
         )
         specs.append(
@@ -326,7 +341,7 @@ def msequence_campaigns(ls=(3, 4, 5)) -> list[CampaignSpec]:
                 param=l,
                 variant_b="alt",
                 grid=_shift_grid(range(0, n)),
-                expectation=Expectation(lc_exact=4 * l + 4, two_adic_max=True),
+                expectation=_expect(n, lc_exact=4 * l + 4),
             )
         )
     return specs
@@ -346,9 +361,7 @@ def example1_campaign(p: int = 31) -> list[CampaignSpec]:
             family_b="hall",
             param=p,
             grid=grid,
-            expectation=Expectation(
-                lc_exact=lc, two_adic_max=True if p <= 127 else None
-            ),
+            expectation=_expect(p, lc_exact=lc),
         )
     ]
 
@@ -367,10 +380,7 @@ def theorem6_campaigns(ps=(43, 283), full_s: bool = False) -> list[CampaignSpec]
                 family_b="hall",
                 param=p,
                 grid=grid,
-                expectation=Expectation(
-                    lc_exact=2 * p + 2,
-                    two_adic_max=True if p <= 127 else None,
-                ),
+                expectation=_expect(p, lc_exact=2 * p + 2),
             )
         )
     return specs
@@ -402,10 +412,7 @@ def theorem7_campaigns(p: int = 43, full_s: bool = False) -> list[CampaignSpec]:
                 family_b="hall",
                 param=p,
                 grid=asserted,
-                expectation=Expectation(
-                    lc_exact=2 * p + 2,
-                    two_adic_max=True if p <= 127 else None,
-                ),
+                expectation=_expect(p, lc_exact=2 * p + 2),
             )
         )
         if recorded:
@@ -445,12 +452,7 @@ def theorem9_campaigns(ps=(5, 29), record_complementary=(11,)) -> list[CampaignS
                     family_b=fam,
                     param=p,
                     grid=_shift_grid(units),
-                    expectation=Expectation(
-                        lc_exact=2 * n + 2,
-                        two_adic_max=True if n <= 127 else None,
-                    )
-                    if assert_it
-                    else None,
+                    expectation=_expect(n, lc_exact=2 * n + 2) if assert_it else None,
                 )
             )
     return specs
@@ -470,10 +472,7 @@ def remarks_campaigns(p: int = 31, full_s: bool = False) -> list[CampaignSpec]:
                 family_b="hall",
                 param=p,
                 grid=grid,
-                expectation=Expectation(
-                    lc_below=2 * p + 2,
-                    two_adic_max=True if p <= 127 else None,
-                ),
+                expectation=_expect(p, lc_below=2 * p + 2),
             )
         )
     return specs
@@ -522,7 +521,7 @@ def bound_campaigns(seed: int = 20240901, sigmas_per_pair: int = 4) -> list[Camp
                         variant_a=va,
                         variant_b=vb,
                         grid=grid,
-                        expectation=Expectation(two_adic_max=True),
+                        expectation=_expect(n),
                     )
                 )
     return specs
@@ -553,7 +552,7 @@ def twoadic_campaigns() -> list[CampaignSpec]:
         if spec.expectation is None:
             continue
         base = build_family(spec.family_a, spec.param, spec.variant_a)
-        if base.period > 127:
+        if base.period > TWO_ADIC_MAX_N:
             continue
         out.append(
             dataclasses.replace(
@@ -628,10 +627,7 @@ def results_to_json(results: list[CampaignResult]) -> str:
 
 def _csv_row(fields) -> str:
     """One CSV line from a mapping that holds every CSV_HEADER column."""
-    try:
-        *numbers, attains, two_adic = _CSV_FIELDS(fields)
-    except KeyError as exc:
-        raise ValueError(f"report point has no field {exc.args[0]!r}") from None
+    *numbers, attains, two_adic = _CSV_FIELDS(fields)
     return ",".join([*map(str, numbers), _CSV_FLAGS[attains], _CSV_FLAGS[two_adic]])
 
 
@@ -650,10 +646,13 @@ def json_to_csv(text: str) -> str:
     payload = json.loads(text)
     out = StringIO()
     out.write(CSV_HEADER + "\n")
-    for camp in payload["campaigns"]:
-        for pt in camp["points"]:
-            if pt["report"] is not None:
-                out.write(_csv_row({**pt["report"], **pt}) + "\n")
+    try:
+        for camp in payload["campaigns"]:
+            for pt in camp["points"]:
+                if pt["report"] is not None:
+                    out.write(_csv_row({**pt["report"], **pt}) + "\n")
+    except KeyError as exc:
+        raise ValueError(f"report has no field {exc.args[0]!r}") from None
     return out.getvalue()
 
 

@@ -1,7 +1,8 @@
 """Golden digests of the verify reports: any change to a report byte fails.
 
-For every named campaign, the grids with base period n <= 143 run at
-jobs 1 (about 3000 pairs).  The CSV is pinned whole; the JSON is pinned
+For every named campaign, the grids with base period n <= 143 (about 3000
+pairs) run at jobs 1 and at jobs 2, with the same digests; at jobs 2 one
+pool serves every campaign, so pool chunks span campaigns.  The CSV is pinned whole; the JSON is pinned
 with its "wall_time_s" lines removed, the only field that varies between
 runs.  A change that alters a report on purpose must re-record these
 digests and say why.
@@ -70,15 +71,22 @@ def test_every_named_campaign_is_pinned():
     assert set(GOLDEN) == set(NAMED_CAMPAIGNS)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_report_digests(name):
+@pytest.mark.parametrize(
+    "name, jobs",
+    [
+        pytest.param(name, jobs, id=name if jobs == 1 else f"{name}-jobs{jobs}")
+        for name in sorted(GOLDEN)
+        for jobs in (1, 2)
+    ],
+)
+def test_report_digests(name, jobs):
     specs = [
         s
         for s in named_campaigns(name)
         if build_family(s.family_a, s.param, s.variant_a).period <= MAX_N
     ]
     assert specs
-    results = run_campaigns(specs, jobs=1)
+    results = run_campaigns(specs, jobs=jobs)
     csv = emit_report(results, "csv")
     json_text = "".join(
         line

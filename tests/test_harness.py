@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from seqlc import harness
 from seqlc.cli import main
 from seqlc.harness import (
     CSV_HEADER,
@@ -14,7 +16,6 @@ from seqlc.harness import (
     read_sequence,
     results_to_csv,
     results_to_json,
-    run_campaign,
     run_campaigns,
     theorem5_campaigns,
     write_sequence,
@@ -78,7 +79,7 @@ class TestBuildFamily:
 
 class TestRunCampaign:
     def test_theorem5_small(self):
-        res = run_campaign(theorem5_p7())
+        res = run_campaigns([theorem5_p7()])[0]
         assert res.passed
         assert len(res.points) == 6
         assert [(pt.r, pt.s) for pt in res.points] == [(r, 1) for r in range(1, 7)]
@@ -89,7 +90,7 @@ class TestRunCampaign:
         # must leave two_adic_max unasserted, not require it to be False.
         spec = next(s for s in theorem5_campaigns(ps=(131,)) if s.expectation)
         assert spec.expectation.two_adic_max is None
-        res = run_campaign(spec)
+        res = run_campaigns([spec])[0]
         assert len(res.points) == 130
         assert res.passed, [pt.failures for pt in res.points if not pt.passed][:3]
 
@@ -102,7 +103,7 @@ class TestRunCampaign:
             grid=(GroupElement(1, 1), GroupElement(2, 1)),
             expectation=None,
         )
-        res = run_campaign(spec)
+        res = run_campaigns([spec])[0]
         assert res.passed
         assert all(not pt.asserted for pt in res.points)
         assert all(pt.report is not None for pt in res.points)
@@ -116,7 +117,7 @@ class TestRunCampaign:
             grid=(GroupElement(1, 1),),
             expectation=Expectation(lc_exact=99),
         )
-        res = run_campaign(spec)
+        res = run_campaigns([spec])[0]
         assert not res.passed
         assert res.points[0].failures
 
@@ -130,7 +131,7 @@ class TestRunCampaign:
             grid=(GroupElement(1, 1), GroupElement(1, 7)),
             expectation=Expectation(lc_exact=16),
         )
-        res = run_campaign(spec)
+        res = run_campaigns([spec])[0]
         assert not res.passed
         good, bad = res.points
         assert good.passed and good.report.lc_formula == 16
@@ -149,15 +150,31 @@ class TestRunCampaign:
 
     def test_parallel_equals_serial(self):
         spec = theorem5_p7()
-        serial = run_campaign(spec, jobs=1)
-        parallel = run_campaign(spec, jobs=2)
+        serial = run_campaigns([spec], jobs=1)[0]
+        parallel = run_campaigns([spec], jobs=2)[0]
         assert serial.points == parallel.points
         assert serial.passed == parallel.passed
+
+    def test_one_pool_per_run(self, monkeypatch):
+        pools = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        specs = theorem5_campaigns(ps=(7, 11))
+        parallel = run_campaigns(specs, jobs=2)
+        assert len(pools) == 1
+        serial = run_campaigns(specs, jobs=1)
+        assert [res.spec for res in parallel] == specs
+        assert [res.points for res in parallel] == [res.points for res in serial]
 
 
 class TestEmission:
     def test_csv_shape(self):
-        res = run_campaign(theorem5_p7())
+        res = run_campaigns([theorem5_p7()])[0]
         text = results_to_csv([res])
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER
@@ -172,7 +189,7 @@ class TestEmission:
         assert json_to_csv(results_to_json(res)) == results_to_csv(res)
 
     def test_json_parses_back(self):
-        res = run_campaign(theorem5_p7())
+        res = run_campaigns([theorem5_p7()])[0]
         payload = json.loads(results_to_json([res]))
         camp = payload["campaigns"][0]
         assert camp["spec"]["name"] == "theorem5-p7"
@@ -183,8 +200,8 @@ class TestEmission:
 
     def test_determinism_modulo_wall_time(self):
         spec = theorem5_p7()
-        first = json.loads(results_to_json([run_campaign(spec)]))
-        second = json.loads(results_to_json([run_campaign(spec)]))
+        first = json.loads(results_to_json([run_campaigns([spec])[0]]))
+        second = json.loads(results_to_json([run_campaigns([spec])[0]]))
         for payload in (first, second):
             for camp in payload["campaigns"]:
                 camp.pop("wall_time_s")
@@ -271,6 +288,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "pass theorem5-p7" in err
 
+    @pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
+    def test_verify_rejects_jobs_out_of_range(self, capsys, jobs):
+        code = main(["verify", "theorem5", "--p", "7", "--jobs", str(jobs)])
+        assert code == 2
+        cpus = os.cpu_count() or 1
+        assert capsys.readouterr().err == (
+            f"error: --jobs must be between 1 and {cpus}\n"
+        )
+
     def test_verify_csv_format(self, capsys):
         code = main(["verify", "theorem5", "--p", "7", "--format", "csv"])
         assert code == 0
@@ -279,20 +305,32 @@ class TestCli:
 
     def test_report_conversion(self, tmp_path, capsys):
         src = tmp_path / "r.json"
-        res = run_campaign(theorem5_p7())
+        res = run_campaigns([theorem5_p7()])[0]
         src.write_text(results_to_json([res]))
         assert main(["report", str(src), "--format", "csv"]) == 0
         assert capsys.readouterr().out == results_to_csv([res])
 
-    def test_report_missing_field_is_one_line_error(self, tmp_path, capsys):
-        payload = json.loads(results_to_json([run_campaign(theorem5_p7())]))
-        del payload["campaigns"][0]["points"][2]["s"]
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            (None, "s"),
+            ({}, "campaigns"),
+            ({"campaigns": [{"points": [{"r": 1, "s": 1}]}]}, "report"),
+        ],
+        ids=["s", "campaigns", "report"],
+    )
+    def test_report_missing_field_is_one_line_error(
+        self, tmp_path, capsys, payload, key
+    ):
+        if payload is None:  # a full report whose third point lacks "s"
+            payload = json.loads(results_to_json([run_campaigns([theorem5_p7()])[0]]))
+            del payload["campaigns"][0]["points"][2]["s"]
         src = tmp_path / "r.json"
         src.write_text(json.dumps(payload))
         assert main(["report", str(src), "--format", "csv"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "'s'" in err
+        assert f"'{key}'" in err
 
     def test_bad_file_error(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
