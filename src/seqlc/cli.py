@@ -10,8 +10,9 @@ Subcommands:
 * verify      run named verification campaigns and report pass/fail
 * report      convert an emitted JSON report to CSV (or re-emit JSON)
 
-Exit status is nonzero iff an asserted campaign fails (verify) or an
-input is invalid.
+Exit status: 0 when every asserted claim holds, 1 when an asserted
+claim fails (verify), 2 when an input is rejected; a rejected input
+prints one "error:" line on stderr.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ from .sequences import (
     is_ideal,
 )
 
-GEN_FAMILIES = tuple(f for f in harness.FAMILIES if f != "file")
-
-
 def _out(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -56,10 +54,10 @@ def _out(text: str, path: str | None) -> None:
 def _family_param(args) -> int:
     if args.family == "m-sequence":
         if args.l is None:
-            raise SystemExit("m-sequence needs --l")
+            raise ValueError("m-sequence needs --l")
         return args.l
     if args.p is None:
-        raise SystemExit(f"{args.family} needs --p")
+        raise ValueError(f"{args.family} needs --p")
     return args.p
 
 
@@ -130,7 +128,7 @@ def _cmd_verify(args) -> int:
         wanted = args.p if args.p is not None else args.l
         specs = [s for s in specs if s.param == wanted]
         if not specs:
-            raise SystemExit(f"campaign {args.campaign} has no grid at that parameter")
+            raise ValueError(f"campaign {args.campaign} has no grid at that parameter")
     results = run_campaigns(specs, jobs=args.jobs)
     text = emit_report(results, args.format)
     _out(text, args.out)
@@ -163,12 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="emit one period of a sequence family")
-    p_gen.add_argument("family", choices=GEN_FAMILIES)
+    p_gen.add_argument("family", choices=harness.FAMILIES)
     p_gen.add_argument("--p", type=int, help="prime parameter")
     p_gen.add_argument("--l", type=int, help="LFSR degree (m-sequence)")
     p_gen.add_argument("--r", type=int, default=0, help="shift to apply")
     p_gen.add_argument("--s", type=int, default=1, help="sample index to apply")
-    p_gen.add_argument("--variant", help="family-specific selector (e.g. 'alt')")
+    p_gen.add_argument("--variant", help="m-sequence polynomial ('alt' or an encoding)")
     p_gen.add_argument("--out")
     p_gen.set_defaults(func=_cmd_gen)
 
@@ -199,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vf.add_argument("--out")
     p_vf.add_argument("--full-s", action="store_true", dest="full_s",
                       help="sweep every unit s, not one per class")
-    p_vf.add_argument("--seed", type=int, default=20240901,
+    p_vf.add_argument("--seed", type=int, default=harness.BOUND_SEED,
                       help="seed for the randomized consistency sweep")
     p_vf.add_argument("--jobs", type=int, default=1,
                       help="processes in the run's one pool (1 to the CPU count)")

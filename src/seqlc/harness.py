@@ -24,7 +24,6 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from io import StringIO
 from itertools import islice
 
 from .complexity import LCReport, analyze_pair
@@ -47,7 +46,6 @@ FAMILIES = (
     "hall",
     "twin-prime",
     "twin-prime-tau",
-    "file",
 )
 
 CSV_HEADER = (
@@ -69,11 +67,6 @@ def read_sequence(path) -> BinarySeq:
     if not text:
         raise ValueError(f"{path}: empty sequence file")
     return BinarySeq.from_string(text)
-
-
-def write_sequence(path, a: BinarySeq) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(a.to_string() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +171,7 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
 
     For m-sequences, variant selects the primitive polynomial: None is the
     smallest encoding, "alt" the second smallest, and a decimal string an
-    explicit encoding.  For family "file", variant is the path.
+    explicit encoding.  No other family takes a variant.
     """
     if family == "m-sequence":
         if variant is None:
@@ -190,6 +183,8 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
         from .f2poly import F2Poly
 
         return m_sequence(param, char_poly=F2Poly(int(variant)))
+    if variant is not None:
+        raise ValueError(f"family {family!r} takes no variant")
     if family == "legendre":
         return legendre_seq(param, "ell")
     if family == "legendre-prime":
@@ -200,10 +195,6 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
         return twin_prime_seq(param, "t")
     if family == "twin-prime-tau":
         return twin_prime_seq(param, "tau_t")
-    if family == "file":
-        if variant is None:
-            raise ValueError("family 'file' needs the path in the variant slot")
-        return read_sequence(variant)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -211,7 +202,7 @@ def _run_point(base_a, base_b, sigma, expectation):
     try:
         b = apply_group(base_b, sigma)
         report = analyze_pair(base_a, b)
-    except Exception as exc:  # noqa: BLE001 - campaign aggregates, never aborts
+    except ValueError as exc:  # a rejected point is a row; anything else is a defect
         return PairResult(
             r=sigma.r, s=sigma.s, asserted=expectation is not None,
             report=None, failures=("construction error",), error=str(exc),
@@ -492,7 +483,11 @@ _BOUND_POOL = {
 }
 
 
-def bound_campaigns(seed: int = 20240901, sigmas_per_pair: int = 4) -> list[CampaignSpec]:
+# Seed of the bound sweep's random group elements, unless one is given.
+BOUND_SEED = 20240901
+
+
+def bound_campaigns(seed: int = BOUND_SEED, sigmas_per_pair: int = 4) -> list[CampaignSpec]:
     """Cross-family sweep: random group elements over every same-period pair.
 
     No exact LC is expected; each point exercises the built-in consistency
@@ -572,7 +567,7 @@ NAMED_CAMPAIGNS = {
     "theorem7": lambda **kw: theorem7_campaigns(full_s=kw.get("full_s", False)),
     "theorem9": lambda **kw: theorem9_campaigns(),
     "remarks": lambda **kw: remarks_campaigns(full_s=kw.get("full_s", False)),
-    "bound": lambda **kw: bound_campaigns(seed=kw.get("seed", 20240901)),
+    "bound": lambda **kw: bound_campaigns(seed=kw.get("seed", BOUND_SEED)),
     "twoadic": lambda **kw: twoadic_campaigns(),
 }
 
@@ -625,35 +620,40 @@ def results_to_json(results: list[CampaignResult]) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _csv_row(fields) -> str:
-    """One CSV line from a mapping that holds every CSV_HEADER column."""
-    *numbers, attains, two_adic = _CSV_FIELDS(fields)
-    return ",".join([*map(str, numbers), _CSV_FLAGS[attains], _CSV_FLAGS[two_adic]])
+def _csv(rows) -> str:
+    """The CSV report: the header, then one line per mapping in rows."""
+    lines = [CSV_HEADER]
+    for fields in rows:
+        *numbers, attains, two_adic = _CSV_FIELDS(fields)
+        lines.append(
+            ",".join([*map(str, numbers), _CSV_FLAGS[attains], _CSV_FLAGS[two_adic]])
+        )
+    return "\n".join(lines) + "\n"
 
 
 def results_to_csv(results: list[CampaignResult]) -> str:
-    out = StringIO()
-    out.write(CSV_HEADER + "\n")
-    for res in results:
-        for pt in res.points:
-            if pt.report is not None:
-                out.write(_csv_row({**vars(pt.report), **vars(pt)}) + "\n")
-    return out.getvalue()
+    return _csv(
+        {**vars(pt.report), **vars(pt)}
+        for res in results
+        for pt in res.points
+        if pt.report is not None
+    )
 
 
 def json_to_csv(text: str) -> str:
     """Convert emitted JSON back to the CSV schema (round-trip identity)."""
     payload = json.loads(text)
-    out = StringIO()
-    out.write(CSV_HEADER + "\n")
     try:
-        for camp in payload["campaigns"]:
-            for pt in camp["points"]:
-                if pt["report"] is not None:
-                    out.write(_csv_row({**pt["report"], **pt}) + "\n")
+        return _csv(
+            {**pt["report"], **pt}
+            for camp in payload["campaigns"]
+            for pt in camp["points"]
+            if pt["report"] is not None
+        )
     except KeyError as exc:
         raise ValueError(f"report has no field {exc.args[0]!r}") from None
-    return out.getvalue()
+    except (TypeError, IndexError):
+        raise ValueError("not a seqlc JSON report") from None
 
 
 def emit_report(results: list[CampaignResult], format: str = "json") -> str:

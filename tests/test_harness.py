@@ -14,11 +14,13 @@ from seqlc.harness import (
     json_to_csv,
     named_campaigns,
     read_sequence,
+    remarks_campaigns,
     results_to_csv,
     results_to_json,
     run_campaigns,
     theorem5_campaigns,
-    write_sequence,
+    theorem6_campaigns,
+    theorem7_campaigns,
 )
 from seqlc.sequences import GroupElement, legendre_seq, m_sequence
 
@@ -27,11 +29,18 @@ def theorem5_p7():
     return [s for s in theorem5_campaigns(ps=(7,)) if s.expectation is not None][0]
 
 
+def theorem5_p7_payload(**report):
+    """The JSON report of theorem5_p7, its first point's report updated."""
+    payload = json.loads(results_to_json([run_campaigns([theorem5_p7()])[0]]))
+    payload["campaigns"][0]["points"][0]["report"].update(report)
+    return payload
+
+
 class TestSequenceIO:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "seq.txt"
         a = legendre_seq(11)
-        write_sequence(path, a)
+        path.write_text(a.to_string() + "\n")
         assert read_sequence(path) == a
 
     def test_known_content(self, tmp_path):
@@ -66,11 +75,6 @@ class TestBuildFamily:
         assert build_family("m-sequence", 3, "13").period == 7
         assert build_family("hall", 31).weight == 15
         assert build_family("twin-prime", 5).period == 35
-
-    def test_file_family(self, tmp_path):
-        path = tmp_path / "seq.txt"
-        write_sequence(path, legendre_seq(7))
-        assert build_family("file", 0, str(path)) == legendre_seq(7)
 
     def test_unknown(self):
         with pytest.raises(ValueError):
@@ -136,6 +140,15 @@ class TestRunCampaign:
         good, bad = res.points
         assert good.passed and good.report.lc_formula == 16
         assert bad.error is not None and bad.report is None
+
+    def test_defects_propagate(self, monkeypatch):
+        # Only a ValueError marks a rejected point; anything else is a bug.
+        def broken(a, b):
+            raise RuntimeError("defect")
+
+        monkeypatch.setattr(harness, "analyze_pair", broken)
+        with pytest.raises(RuntimeError, match="defect"):
+            run_campaigns([theorem5_p7()], jobs=1)
 
     def test_grid_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -234,6 +247,23 @@ class TestNamedCampaigns:
         assert named_campaigns("bound", seed=3) == named_campaigns("bound", seed=3)
         assert named_campaigns("bound", seed=3) != named_campaigns("bound", seed=4)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda **kw: theorem6_campaigns(ps=(43,), **kw),
+            lambda **kw: theorem7_campaigns(p=43, **kw),
+            lambda **kw: remarks_campaigns(p=31, **kw),
+        ],
+        ids=["theorem6", "theorem7", "remarks"],
+    )
+    def test_full_s_grid_sweeps_every_unit(self, build):
+        default, full = build(), build(full_s=True)
+        p = full[0].param
+        assert {g.s for spec in full for g in spec.grid} == set(range(1, p))
+        full_grids = {spec.name: set(spec.grid) for spec in full}
+        for spec in default:
+            assert set(spec.grid) <= full_grids[spec.name]
+
     def test_bound_pool_size(self):
         specs = named_campaigns("bound")
         assert sum(len(s.grid) for s in specs) >= 200
@@ -248,15 +278,42 @@ class TestCli:
         assert main(["gen", "legendre", "--p", "7", "--r", "1"]) == 0
         assert capsys.readouterr().out == "1101000\n"
 
-    def test_gen_missing_param(self):
-        with pytest.raises(SystemExit):
-            main(["gen", "legendre"])
+    def test_gen_missing_param(self, capsys):
+        assert main(["gen", "legendre"]) == 2
+        assert capsys.readouterr().err == "error: legendre needs --p\n"
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["gen", "legendre"], None),
+            (["gen", "m-sequence", "--p", "7"], None),
+            (["verify", "theorem5", "--p", "8"], None),
+            (["gen", "legendre", "--p", "7", "--variant", "bogus"], None),
+            (["report"], lambda: []),
+            (["report"], lambda: {"campaigns": 5}),
+            (["report"], lambda: {"campaigns": [5]}),
+            (["report"], lambda: theorem5_p7_payload(attains_max=2)),
+        ],
+        ids=[
+            "gen-no-p", "msequence-no-l", "verify-no-grid", "variant-not-msequence",
+            "report-list", "report-campaigns-int", "report-campaign-int",
+            "report-attains-max-2",
+        ],
+    )
+    def test_bad_input_is_one_line_error(self, tmp_path, capsys, argv, payload):
+        if payload is not None:
+            src = tmp_path / "r.json"
+            src.write_text(json.dumps(payload()))
+            argv = [*argv, str(src), "--format", "csv"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_interleave_and_lc(self, tmp_path, capsys):
         pa = tmp_path / "a.txt"
         pb = tmp_path / "b.txt"
-        write_sequence(pa, legendre_seq(7))
-        write_sequence(pb, legendre_seq(7, "ell_prime"))
+        pa.write_text(legendre_seq(7).to_string() + "\n")
+        pb.write_text(legendre_seq(7, "ell_prime").to_string() + "\n")
         out = tmp_path / "w.txt"
         assert main(["interleave", str(pa), str(pb), "--out", str(out)]) == 0
         w = read_sequence(out)
@@ -272,7 +329,7 @@ class TestCli:
 
     def test_autocorr(self, tmp_path, capsys):
         path = tmp_path / "a.txt"
-        write_sequence(path, legendre_seq(7))
+        path.write_text(legendre_seq(7).to_string() + "\n")
         assert main(["autocorr", str(path)]) == 0
         text = capsys.readouterr().out
         assert "A = -1: 6 shifts" in text
@@ -323,7 +380,7 @@ class TestCli:
         self, tmp_path, capsys, payload, key
     ):
         if payload is None:  # a full report whose third point lacks "s"
-            payload = json.loads(results_to_json([run_campaigns([theorem5_p7()])[0]]))
+            payload = theorem5_p7_payload()
             del payload["campaigns"][0]["points"][2]["s"]
         src = tmp_path / "r.json"
         src.write_text(json.dumps(payload))
