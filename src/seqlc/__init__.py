@@ -4,11 +4,9 @@ interleavings, and exact linear/2-adic complexity analysis."""
 from .complexity import (
     LCReport,
     analyze_pair,
-    attains_max,
     gauss_sum_poly,
     lc_berlekamp_massey,
     lc_gcd,
-    lc_interleaved_formula,
     lemma1_poly,
     two_adic_gcd,
     two_adic_max,
@@ -18,7 +16,6 @@ from .f2poly import F2Poly, all_ones, seq_poly
 from .interleave import crt_component, interleave4, is_optimal, tang_ding
 from .numtheory import (
     CyclotomicClasses,
-    crt_index,
     cyclotomic_classes6,
     is_prime,
     legendre_symbol,
@@ -52,12 +49,10 @@ __all__ = [
     "all_ones",
     "analyze_pair",
     "apply_group",
-    "attains_max",
     "autocorrelation",
     "autocorrelation_profile",
     "complement",
     "crt_component",
-    "crt_index",
     "cyclotomic_classes6",
     "gauss_sum_poly",
     "hall_seq",
@@ -67,7 +62,6 @@ __all__ = [
     "is_prime",
     "lc_berlekamp_massey",
     "lc_gcd",
-    "lc_interleaved_formula",
     "legendre_seq",
     "legendre_symbol",
     "lemma1_poly",

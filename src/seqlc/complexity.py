@@ -87,34 +87,6 @@ def z_set_sizes(a: BinarySeq, b: BinarySeq) -> tuple[int, int]:
     return z_ab, z_sum
 
 
-def _require_ideal_pair(a: BinarySeq, b: BinarySeq) -> None:
-    if a.period != b.period:
-        raise ValueError("sequences must share one period")
-    if not is_ideal(a) or not is_ideal(b):
-        raise ValueError(
-            "interleaved-formula operations require both inputs to have "
-            "ideal autocorrelation"
-        )
-
-
-def lc_interleaved_formula(a: BinarySeq, b: BinarySeq) -> int:
-    """LC of w(a, b) via the closed form 2n + 2 - z_ab - z_sum.
-
-    The formula is proved only for ideal-autocorrelation inputs, so that
-    precondition is enforced rather than silently returning a number the
-    closed form does not guarantee.
-    """
-    _require_ideal_pair(a, b)
-    z_ab, z_sum = z_set_sizes(a, b)
-    return 2 * a.period + 2 - z_ab - z_sum
-
-
-def attains_max(a: BinarySeq, b: BinarySeq) -> bool:
-    """True iff LC(w(a, b)) reaches its ceiling 2n + 2, i.e. z_sum = 0."""
-    _require_ideal_pair(a, b)
-    return z_set_sizes(a, b)[1] == 0
-
-
 def lemma1_poly(a: BinarySeq, b: BinarySeq) -> F2Poly:
     """Closed form of the period polynomial of w(a, b), reduced mod x^4n - 1.
 
@@ -215,10 +187,17 @@ def analyze_pair(a: BinarySeq, b: BinarySeq) -> LCReport:
     """Build w(a, b) and measure it every way the report records.
 
     Runs all three linear-complexity routes, the z-set sizes, the full
-    autocorrelation profile and the 2-adic maximality verdict; inputs must
-    both have ideal autocorrelation.
+    autocorrelation profile and the 2-adic maximality verdict.  Both inputs
+    must have ideal autocorrelation, the only case the closed form is
+    proved for, so other inputs are rejected rather than given a number.
     """
-    _require_ideal_pair(a, b)
+    if a.period != b.period:
+        raise ValueError("sequences must share one period")
+    if not is_ideal(a) or not is_ideal(b):
+        raise ValueError(
+            "interleaved-formula operations require both inputs to have "
+            "ideal autocorrelation"
+        )
     n = a.period
     z_ab, z_sum = z_set_sizes(a, b)
     w = tang_ding(a, b)

@@ -18,7 +18,7 @@ strided-slice operations instead of per-bit Python loops.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sequences import BinarySeq
@@ -37,22 +37,10 @@ class F2Poly:
     def __setattr__(self, name, value):
         raise AttributeError("F2Poly is immutable")
 
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "F2Poly":
-        bits = 0
-        for i, c in enumerate(coeffs):
-            if c not in (0, 1):
-                raise ValueError("coefficients must be 0 or 1")
-            bits |= c << i
-        return cls(bits)
-
     @property
     def degree(self) -> int | None:
         """Degree of the polynomial, or None for the zero polynomial."""
         return self.bits.bit_length() - 1 if self.bits else None
-
-    def is_zero(self) -> bool:
-        return self.bits == 0
 
     def coeff(self, i: int) -> int:
         return (self.bits >> i) & 1
@@ -84,9 +72,6 @@ class F2Poly:
             raise ZeroDivisionError("division by the zero polynomial")
         q, r = _divmod_int(self.bits, other.bits)
         return F2Poly(q), F2Poly(r)
-
-    def __floordiv__(self, other: "F2Poly") -> "F2Poly":
-        return divmod(self, other)[0]
 
     def __repr__(self) -> str:
         if self.bits == 0:

@@ -27,12 +27,14 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .complexity import LCReport, analyze_pair
+from .f2poly import F2Poly
 from .numtheory import legendre_symbol
 from .sequences import (
     BinarySeq,
     GroupElement,
     apply_group,
     hall_construction,
+    hall_seq,
     legendre_seq,
     m_sequence,
     primitive_polynomials,
@@ -180,8 +182,10 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
             gen = primitive_polynomials(param)
             next(gen)
             return m_sequence(param, char_poly=next(gen))
-        from .f2poly import F2Poly
-
+        if not variant.isdecimal():
+            raise ValueError(
+                f"m-sequence variant {variant!r} is neither 'alt' nor a decimal encoding"
+            )
         return m_sequence(param, char_poly=F2Poly(int(variant)))
     if variant is not None:
         raise ValueError(f"family {family!r} takes no variant")
@@ -190,7 +194,7 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
     if family == "legendre-prime":
         return legendre_seq(param, "ell_prime")
     if family == "hall":
-        return hall_construction(param)[0]
+        return hall_seq(param)
     if family == "twin-prime":
         return twin_prime_seq(param, "t")
     if family == "twin-prime-tau":
@@ -263,10 +267,6 @@ def _expect(n: int, **lc) -> Expectation:
     return Expectation(**lc, two_adic_max=True if n <= TWO_ADIC_MAX_N else None)
 
 
-def _shift_grid(r_range, s: int = 1) -> tuple[GroupElement, ...]:
-    return tuple(GroupElement(r, s) for r in r_range)
-
-
 def _product_grid(r_range, s_values) -> tuple[GroupElement, ...]:
     return tuple(
         GroupElement(r, s) for r in r_range for s in sorted(s_values)
@@ -281,31 +281,30 @@ def _hall_s_reps(p: int, full: bool = False) -> list[int]:
     return sorted(min(c) for c in classes.classes)
 
 
+def _with_r0_twin(spec: CampaignSpec, recorded) -> list[CampaignSpec]:
+    """spec, then an unasserted "-r0-recorded" twin over the r = 0 points in
+    recorded, which lie outside the claim (no twin when recorded is empty)."""
+    if not recorded:
+        return [spec]
+    twin = dataclasses.replace(
+        spec, name=f"{spec.name}-r0-recorded", grid=recorded, expectation=None
+    )
+    return [spec, twin]
+
+
 def theorem5_campaigns(ps=(7, 11, 19, 23)) -> list[CampaignSpec]:
     """Legendre pairs (ell, L^r(ell')) with r != 0: LC hits the 2p+2 ceiling."""
     specs = []
     for p in ps:
-        specs.append(
-            CampaignSpec(
-                name=f"theorem5-p{p}",
-                family_a="legendre",
-                family_b="legendre-prime",
-                param=p,
-                grid=_shift_grid(range(1, p)),
-                expectation=_expect(p, lc_exact=2 * p + 2),
-            )
+        spec = CampaignSpec(
+            name=f"theorem5-p{p}",
+            family_a="legendre",
+            family_b="legendre-prime",
+            param=p,
+            grid=_product_grid(range(1, p), (1,)),
+            expectation=_expect(p, lc_exact=2 * p + 2),
         )
-        # r = 0 is outside the claimed range; recorded without assertion.
-        specs.append(
-            CampaignSpec(
-                name=f"theorem5-p{p}-r0-recorded",
-                family_a="legendre",
-                family_b="legendre-prime",
-                param=p,
-                grid=(GroupElement(0, 1),),
-                expectation=None,
-            )
-        )
+        specs += _with_r0_twin(spec, (GroupElement(0, 1),))
     return specs
 
 
@@ -320,7 +319,7 @@ def msequence_campaigns(ls=(3, 4, 5)) -> list[CampaignSpec]:
                 family_a="m-sequence",
                 family_b="m-sequence",
                 param=l,
-                grid=_shift_grid(range(1, n)),
+                grid=_product_grid(range(1, n), (1,)),
                 expectation=_expect(n, lc_exact=2 * l + 4),
             )
         )
@@ -331,7 +330,7 @@ def msequence_campaigns(ls=(3, 4, 5)) -> list[CampaignSpec]:
                 family_b="m-sequence",
                 param=l,
                 variant_b="alt",
-                grid=_shift_grid(range(0, n)),
+                grid=_product_grid(range(0, n), (1,)),
                 expectation=_expect(n, lc_exact=4 * l + 4),
             )
         )
@@ -396,27 +395,15 @@ def theorem7_campaigns(p: int = 43, full_s: bool = False) -> list[CampaignSpec]:
         recorded = tuple(
             GroupElement(0, s) for s in reps if legendre_symbol(s, p) != sym
         )
-        specs.append(
-            CampaignSpec(
-                name=f"theorem7-{fam}-p{p}",
-                family_a=fam,
-                family_b="hall",
-                param=p,
-                grid=asserted,
-                expectation=_expect(p, lc_exact=2 * p + 2),
-            )
+        spec = CampaignSpec(
+            name=f"theorem7-{fam}-p{p}",
+            family_a=fam,
+            family_b="hall",
+            param=p,
+            grid=asserted,
+            expectation=_expect(p, lc_exact=2 * p + 2),
         )
-        if recorded:
-            specs.append(
-                CampaignSpec(
-                    name=f"theorem7-{fam}-p{p}-r0-recorded",
-                    family_a=fam,
-                    family_b="hall",
-                    param=p,
-                    grid=recorded,
-                    expectation=None,
-                )
-            )
+        specs += _with_r0_twin(spec, recorded)
     return specs
 
 
@@ -442,7 +429,7 @@ def theorem9_campaigns(ps=(5, 29), record_complementary=(11,)) -> list[CampaignS
                     family_a="twin-prime",
                     family_b=fam,
                     param=p,
-                    grid=_shift_grid(units),
+                    grid=_product_grid(units, (1,)),
                     expectation=_expect(n, lc_exact=2 * n + 2) if assert_it else None,
                 )
             )
@@ -625,6 +612,8 @@ def _csv(rows) -> str:
     lines = [CSV_HEADER]
     for fields in rows:
         *numbers, attains, two_adic = _CSV_FIELDS(fields)
+        if type(attains) is not bool or type(two_adic) is not bool:
+            raise TypeError("CSV flags must be booleans")
         lines.append(
             ",".join([*map(str, numbers), _CSV_FLAGS[attains], _CSV_FLAGS[two_adic]])
         )

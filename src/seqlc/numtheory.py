@@ -1,5 +1,5 @@
 """Elementary number theory: primality, Legendre symbols, primitive roots,
-sextic cyclotomic classes, and the CRT index map used by 4-way interleaving.
+modular inverses and sextic cyclotomic classes.
 
 All operations are pure functions on plain integers; residues are always
 normalized to [0, modulus).  Primality is a deterministic Miller-Rabin with
@@ -9,7 +9,7 @@ a fixed base set, exact far beyond the desk scale (< 2^64) used here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # Deterministic for all n < 3_317_044_064_679_887_385_961_981 (Sorenson & Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -98,22 +98,6 @@ def mod_inverse(s: int, n: int) -> int:
     return pow(s, -1, n)
 
 
-def crt_index(alpha: int, beta: int, n: int) -> int:
-    """The unique i in [0, 4n) with i = alpha (mod 4) and i = beta (mod n).
-
-    Computed as -alpha*n + 4*beta_star (mod 4n) where 4*beta_star = beta
-    (mod n); n must be odd so that 4 is invertible.
-    """
-    if n % 2 == 0:
-        raise ValueError("n must be odd")
-    if not 0 <= alpha < 4:
-        raise ValueError("alpha must lie in [0, 4)")
-    if not 0 <= beta < n:
-        raise ValueError("beta must lie in [0, n)")
-    beta_star = 0 if n == 1 else beta * mod_inverse(4 % n, n) % n
-    return (-alpha * n + 4 * beta_star) % (4 * n)
-
-
 @dataclass(frozen=True)
 class CyclotomicClasses:
     """Partition of {1, ..., p-1} into the six cosets g^k * <g^6>.
@@ -124,16 +108,6 @@ class CyclotomicClasses:
     p: int
     g: int
     classes: tuple[frozenset[int], ...]
-    _labels: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        for k, cls in enumerate(self.classes):
-            for x in cls:
-                self._labels[x] = k
-
-    def label_of(self, x: int) -> int:
-        """Index k with x in classes[k]; raises KeyError for x = 0 mod p."""
-        return self._labels[x % self.p]
 
 
 def cyclotomic_classes6(p: int, g: int | None = None) -> CyclotomicClasses:

@@ -11,10 +11,10 @@ import time
 from contextlib import contextmanager
 
 from seqlc.complexity import (
+    analyze_pair,
     gauss_sum_poly,
     lc_berlekamp_massey,
     lc_gcd,
-    lc_interleaved_formula,
     lemma1_poly,
 )
 from seqlc.f2poly import ONE, all_ones, mul_mod, seq_poly, stretch, x_pow_n_plus_1
@@ -267,14 +267,14 @@ def test_criterion_13_invariance_suite():
         ]
         for a, b in base_pairs:
             n = a.period
-            lc = lc_interleaved_formula(a, b)
-            assert lc_interleaved_formula(a, complement(b)) == lc
+            lc = analyze_pair(a, b).lc_formula
+            assert analyze_pair(a, complement(b)).lc_formula == lc
             units = [s for s in range(1, n) if math.gcd(s, n) == 1]
             for _ in range(20):
                 sigma = GroupElement(rng.randrange(n), rng.choice(units))
                 assert (
-                    lc_interleaved_formula(
+                    analyze_pair(
                         apply_group(a, sigma), apply_group(b, sigma)
-                    )
+                    ).lc_formula
                     == lc
                 )

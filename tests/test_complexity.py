@@ -3,13 +3,12 @@ import random
 
 import pytest
 
+import seqlc
 from seqlc.complexity import (
     analyze_pair,
-    attains_max,
     gauss_sum_poly,
     lc_berlekamp_massey,
     lc_gcd,
-    lc_interleaved_formula,
     lemma1_poly,
     two_adic_gcd,
     two_adic_max,
@@ -144,25 +143,25 @@ class TestInterleavedFormula:
         ell = legendre_seq(p)
         ell_prime = legendre_seq(p, "ell_prime")
         for r in range(1, p):
-            assert lc_interleaved_formula(ell, shift(ell_prime, r)) == 16
+            assert analyze_pair(ell, shift(ell_prime, r)).lc_formula == 16
 
     def test_hall_example(self):
         h, classes = hall_construction(31)
         for j in classes.classes[4]:
             b = apply_group(h, GroupElement(2, j))
-            assert lc_interleaved_formula(h, b) == 24
+            assert analyze_pair(h, b).lc_formula == 24
 
     def test_m_sequence_value(self):
         a = m_sequence(3)
-        assert lc_interleaved_formula(a, shift(a, 1)) == 10
+        assert analyze_pair(a, shift(a, 1)).lc_formula == 10
 
     def test_rejects_non_ideal(self):
         bad = BinarySeq.from_bits([1, 0, 0, 0, 0, 0, 0])  # impulse: A(tau) = 3
         good = legendre_seq(7)
         with pytest.raises(ValueError):
-            lc_interleaved_formula(good, bad)
+            analyze_pair(good, bad)
         with pytest.raises(ValueError):
-            lc_interleaved_formula(bad, good)
+            analyze_pair(bad, good)
 
     def test_agreement_with_direct(self):
         rng = random.Random(4)
@@ -174,30 +173,31 @@ class TestInterleavedFormula:
                 sigma = GroupElement(rng.randrange(n), rng.choice(units))
                 b = apply_group(a, sigma)
                 w = tang_ding(a, b)
-                lc = lc_interleaved_formula(a, b)
+                lc = analyze_pair(a, b).lc_formula
                 assert lc == lc_gcd(w) == lc_berlekamp_massey(w)
                 assert lc <= 2 * n + 2
 
 
 class TestAttainsMax:
     def test_legendre_pair(self):
-        assert attains_max(legendre_seq(7), shift(legendre_seq(7, "ell_prime"), 1))
+        ell, ell_prime = legendre_seq(7), legendre_seq(7, "ell_prime")
+        assert analyze_pair(ell, shift(ell_prime, 1)).attains_max
 
     def test_m_sequence_same_poly(self):
         a = m_sequence(4)
-        assert not attains_max(a, shift(a, 3))
+        assert not analyze_pair(a, shift(a, 3)).attains_max
 
     def test_twin_prime_all_unit_shifts(self):
         t = twin_prime_seq(5)
         n = 35
         for r in range(1, n):
             if math.gcd(r, n) == 1:
-                assert attains_max(t, shift(t, r))
+                assert analyze_pair(t, shift(t, r)).attains_max
 
     def test_equal_pair_goes_through_z_sum(self):
         # a = b never errors; z_sum = n - 1 keeps it far from the ceiling
         a = legendre_seq(7)
-        assert not attains_max(a, a)
+        assert not analyze_pair(a, a).attains_max
 
 
 class TestLemma1Poly:
@@ -302,15 +302,13 @@ class TestAnalyzePair:
         ]
         for a, b in base_pairs:
             n = a.period
-            lc = lc_interleaved_formula(a, b)
-            assert lc_interleaved_formula(a, complement(b)) == lc
+            lc = analyze_pair(a, b).lc_formula
+            assert analyze_pair(a, complement(b)).lc_formula == lc
             units = [s for s in range(1, n) if math.gcd(s, n) == 1]
             for _ in range(10):
                 sigma = GroupElement(rng.randrange(n), rng.choice(units))
-                assert (
-                    lc_interleaved_formula(apply_group(a, sigma), apply_group(b, sigma))
-                    == lc
-                )
+                rep = analyze_pair(apply_group(a, sigma), apply_group(b, sigma))
+                assert rep.lc_formula == lc
 
     def test_remark_spot_checks(self):
         # p = 31 = 7 mod 8: interleaving Hall with itself or with Legendre
@@ -323,4 +321,11 @@ class TestAnalyzePair:
             for s in reps:
                 b = apply_group(h, GroupElement(r, s))
                 for a in (h, ell, ell_prime):
-                    assert lc_interleaved_formula(a, b) < 64
+                    assert analyze_pair(a, b).lc_formula < 64
+
+
+def test_package_exports_resolve():
+    assert [name for name in seqlc.__all__ if not hasattr(seqlc, name)] == []
+    namespace = {}
+    exec("from seqlc import *", namespace)
+    assert set(seqlc.__all__) <= set(namespace)

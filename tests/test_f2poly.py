@@ -56,11 +56,6 @@ class TestBasics:
         assert ONE.degree == 0
         assert X.degree == 1
 
-    def test_from_coeffs(self):
-        assert F2Poly.from_coeffs([1, 0, 1]) == poly(0, 2)
-        with pytest.raises(ValueError):
-            F2Poly.from_coeffs([2])
-
     def test_repr(self):
         assert repr(poly(2, 0)) == "F2Poly(x^2 + 1)"
         assert repr(ZERO) == "F2Poly(0)"

@@ -4,11 +4,14 @@ For every named campaign, the grids with base period n <= 143 (about 3000
 pairs) run at jobs 1 and at jobs 2, with the same digests; at jobs 2 one
 pool serves every campaign, so pool chunks span campaigns.  The CSV is pinned whole; the JSON is pinned
 with its "wall_time_s" lines removed, the only field that varies between
-runs.  A change that alters a report on purpose must re-record these
+runs.  The spec and grid of every named campaign, including the larger
+ones not run here, are pinned by one more digest, taken without running
+them.  A change that alters a report on purpose must re-record these
 digests and say why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -63,8 +66,18 @@ GOLDEN = {
 }
 
 
+# sha256 of the JSON list of [spec.echo(), (r, s) grid] over named_campaigns("all")
+SPECS_DIGEST = "6d1cd42438498b46364a01b30589ec6d2110a36c3f299a891d96fb52e3c29dab"
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_spec_and_grid_digest():
+    specs = named_campaigns("all")
+    text = json.dumps([[s.echo(), [(g.r, g.s) for g in s.grid]] for s in specs])
+    assert sha256(text) == SPECS_DIGEST
 
 
 def test_every_named_campaign_is_pinned():

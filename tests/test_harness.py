@@ -283,24 +283,35 @@ class TestCli:
         assert capsys.readouterr().err == "error: legendre needs --p\n"
 
     @pytest.mark.parametrize(
-        "argv, payload",
+        "argv, payload, message",
         [
-            (["gen", "legendre"], None),
-            (["gen", "m-sequence", "--p", "7"], None),
-            (["verify", "theorem5", "--p", "8"], None),
-            (["gen", "legendre", "--p", "7", "--variant", "bogus"], None),
-            (["report"], lambda: []),
-            (["report"], lambda: {"campaigns": 5}),
-            (["report"], lambda: {"campaigns": [5]}),
-            (["report"], lambda: theorem5_p7_payload(attains_max=2)),
+            (["gen", "legendre"], None, None),
+            (["gen", "m-sequence", "--p", "7"], None, None),
+            (["verify", "theorem5", "--p", "8"], None, None),
+            (["gen", "legendre", "--p", "7", "--variant", "bogus"], None, None),
+            (["report"], lambda: [], None),
+            (["report"], lambda: {"campaigns": 5}, None),
+            (["report"], lambda: {"campaigns": [5]}, None),
+            (["report"], lambda: theorem5_p7_payload(attains_max=2), None),
+            (["report"], lambda: theorem5_p7_payload(attains_max=-1), None),
+            (["report"], lambda: theorem5_p7_payload(attains_max=1), None),
+            (["report"], lambda: theorem5_p7_payload(two_adic_max=0), None),
+            (
+                ["gen", "m-sequence", "--l", "3", "--variant", "bogus"],
+                None,
+                "m-sequence variant 'bogus' is neither 'alt' nor a decimal encoding",
+            ),
         ],
         ids=[
             "gen-no-p", "msequence-no-l", "verify-no-grid", "variant-not-msequence",
             "report-list", "report-campaigns-int", "report-campaign-int",
-            "report-attains-max-2",
+            "report-attains-max-2", "report-attains-max-minus-1",
+            "report-attains-max-1", "report-two-adic-max-0", "msequence-bad-variant",
         ],
     )
-    def test_bad_input_is_one_line_error(self, tmp_path, capsys, argv, payload):
+    def test_bad_input_is_one_line_error(
+        self, tmp_path, capsys, argv, payload, message
+    ):
         if payload is not None:
             src = tmp_path / "r.json"
             src.write_text(json.dumps(payload()))
@@ -308,6 +319,8 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        if message is not None:
+            assert err == f"error: {message}\n"
 
     def test_interleave_and_lc(self, tmp_path, capsys):
         pa = tmp_path / "a.txt"

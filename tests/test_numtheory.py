@@ -3,9 +3,9 @@ import random
 
 import pytest
 
+from seqlc.interleave import crt_component
 from seqlc.numtheory import (
     CyclotomicClasses,
-    crt_index,
     cyclotomic_classes6,
     factorize,
     is_prime,
@@ -14,6 +14,12 @@ from seqlc.numtheory import (
     primitive_root,
     primitive_roots,
 )
+from seqlc.sequences import BinarySeq
+
+
+def label_of(cc, x):
+    """Index k with x in cc.classes[k]."""
+    return next(k for k, cls in enumerate(cc.classes) if x % cc.p in cls)
 
 
 def trial_division_is_prime(n):
@@ -134,30 +140,15 @@ class TestModInverse:
 
 
 class TestCrtIndex:
-    @staticmethod
-    def brute_force(alpha, beta, n):
-        return next(
-            i for i in range(4 * n) if i % 4 == alpha and i % n == beta
-        )
-
-    def test_known_values(self):
-        assert crt_index(0, 0, 3) == 0
-        assert crt_index(1, 0, 3) == 9
-        assert self.brute_force(3, 2, 7) == 23
-        assert crt_index(3, 2, 7) == 23
-
-    def test_rejects_even_n(self):
-        with pytest.raises(ValueError):
-            crt_index(1, 1, 8)
-
     @pytest.mark.parametrize("n", [3, 7, 11, 15, 19])
     def test_residue_contract(self, n):
-        for alpha in range(4):
-            for beta in range(n):
-                i = crt_index(alpha, beta, n)
-                assert 0 <= i < 4 * n
-                assert i % 4 == alpha
-                assert i % n == beta
+        # crt_component is the one CRT map: reading index i through
+        # (i mod 4, i mod n) must land on bit i itself, so on a one-hot
+        # sequence it finds the set bit at exactly that index
+        for i in range(4 * n):
+            one_hot = BinarySeq(1 << i, 4 * n)
+            read = [crt_component(one_hot, j) for j in range(4 * n)]
+            assert read == list(one_hot.bits)
 
     @pytest.mark.parametrize("n", [3, 7, 11, 19, 35])
     def test_beta_star_is_a_permutation(self, n):
@@ -176,8 +167,8 @@ class TestCyclotomicClasses:
 
     def test_residuacity_of_two(self):
         # 31 = 7 mod 8: 2 is a sextic residue; 43 = 3 mod 8: 2 is cubic only
-        assert cyclotomic_classes6(31).label_of(2) == 0
-        assert cyclotomic_classes6(43).label_of(2) == 3
+        assert label_of(cyclotomic_classes6(31), 2) == 0
+        assert label_of(cyclotomic_classes6(43), 2) == 3
 
     @pytest.mark.parametrize("p", [7, 13, 31, 43, 283])
     def test_invariants(self, p):
@@ -195,9 +186,9 @@ class TestCyclotomicClasses:
         for _ in range(100):
             x = rng.randrange(1, p)
             y = rng.randrange(1, p)
-            lam = cc.label_of(x)
-            mu = cc.label_of(y)
-            assert cc.label_of(x * y % p) == (lam + mu) % 6
+            lam = label_of(cc, x)
+            mu = label_of(cc, y)
+            assert label_of(cc, x * y % p) == (lam + mu) % 6
 
     def test_rejects_wrong_residue(self):
         with pytest.raises(ValueError):
