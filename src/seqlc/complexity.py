@@ -25,7 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .f2poly import F2Poly, all_ones, gcd, mul_mod, seq_poly, stretch, x_pow_n_plus_1
+from .f2poly import (
+    F2Poly, _bit_view, all_ones, gcd, mul_mod, seq_poly, stretch, x_pow_n_plus_1,
+)
 from .interleave import tang_ding
 from .numtheory import is_prime
 from .sequences import BinarySeq, autocorrelation_profile, is_ideal
@@ -46,25 +48,22 @@ def lc_berlekamp_massey(a: BinarySeq) -> int:
     Runs the iterative synthesis over exactly 2N terms, which determines
     the true linear complexity because LC <= N for an N-periodic sequence.
     All polynomials are bit-packed; the discrepancy is a masked popcount
-    against an incrementally reversed window of the stream.
+    against the window s_k, s_{k-1}, ..., s_0.  The two-period stream is
+    packed reversed once (bit 2N-1-i holds s_i), so step k's window is a
+    single right shift of it, bit j = s_{k-j}.
     """
     N = a.period
-    stream = a.mask | (a.mask << N)  # two periods
+    top = 2 * N - 1
+    stream = int(_bit_view(a.mask, N) * 2, 2)  # two periods, s_0 in the top bit
     C, B = 1, 1  # connection polynomial and previous best, bit i = coeff of x^i
-    L, gap = 0, 1  # current LFSR length, steps since last length change
-    R = 0  # bit i = s_{k-i}: window reversed around the current index
+    L, m = 0, -1  # current LFSR length, step of the last length change
     for k in range(2 * N):
-        R = (R << 1) | ((stream >> k) & 1)
-        if (C & R).bit_count() & 1:
+        if (C & (stream >> (top - k))).bit_count() & 1:
             if 2 * L <= k:
-                C, B = C ^ (B << gap), C
-                L = k + 1 - L
-                gap = 1
+                C, B = C ^ (B << (k - m)), C
+                L, m = k + 1 - L, k
             else:
-                C ^= B << gap
-                gap += 1
-        else:
-            gap += 1
+                C ^= B << (k - m)
     return L
 
 

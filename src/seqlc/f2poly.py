@@ -8,7 +8,9 @@ degree is None -- a distinguished marker, never a number.
 Nonzero polynomials over GF(2) are automatically monic, so gcds need no
 normalization.  Multiplication is schoolbook with word-level shifts;
 degrees stay around 4n (a few thousand) at desk scale, where this is
-faster than any asymptotically clever scheme would pay for.
+faster than any asymptotically clever scheme would pay for.  Reduction is
+one remainder-only long division, _mod_int, shared by %, gcd, mul_mod and
+pow_mod; no caller needs a quotient, so none is built.
 
 Bit-level rearrangements (spreading, interleaving, sampling, text and
 tuple conversion) all go through one byte-per-bit view of a mask,
@@ -65,13 +67,7 @@ class F2Poly:
     def __mod__(self, other: "F2Poly") -> "F2Poly":
         if other.bits == 0:
             raise ZeroDivisionError("reduction modulo the zero polynomial")
-        return F2Poly(_divmod_int(self.bits, other.bits)[1])
-
-    def __divmod__(self, other: "F2Poly") -> tuple["F2Poly", "F2Poly"]:
-        if other.bits == 0:
-            raise ZeroDivisionError("division by the zero polynomial")
-        q, r = _divmod_int(self.bits, other.bits)
-        return F2Poly(q), F2Poly(r)
+        return F2Poly(_mod_int(self.bits, other.bits))
 
     def __repr__(self) -> str:
         if self.bits == 0:
@@ -83,15 +79,12 @@ class F2Poly:
         return f"F2Poly({' + '.join(terms)})"
 
 
-def _divmod_int(a: int, b: int) -> tuple[int, int]:
-    """Long division of packed polynomials: (quotient, remainder); b must be nonzero."""
-    q, db = 0, b.bit_length()
-    while True:
-        shift = a.bit_length() - db
-        if shift < 0:
-            return q, a
-        q ^= 1 << shift
+def _mod_int(a: int, b: int) -> int:
+    """Remainder of the long division of packed polynomials; b must be nonzero."""
+    db = b.bit_length()
+    while (shift := a.bit_length() - db) >= 0:
         a ^= b << shift
+    return a
 
 
 def _mul_int(a: int, b: int) -> int:
@@ -135,14 +128,14 @@ def mul_mod(f: F2Poly, g: F2Poly, m: F2Poly) -> F2Poly:
     """(f * g) reduced mod m; m must be nonzero."""
     if m.bits == 0:
         raise ZeroDivisionError("zero modulus")
-    return F2Poly(_divmod_int(_mul_int(f.bits, g.bits), m.bits)[1])
+    return F2Poly(_mod_int(_mul_int(f.bits, g.bits), m.bits))
 
 
 def gcd(f: F2Poly, g: F2Poly) -> F2Poly:
     """Greatest common divisor; gcd(0, g) = g and gcd(0, 0) = 0."""
     a, b = f.bits, g.bits
     while b:
-        a, b = b, _divmod_int(a, b)[1]
+        a, b = b, _mod_int(a, b)
     return F2Poly(a)
 
 
@@ -152,12 +145,12 @@ def pow_mod(f: F2Poly, e: int, m: F2Poly) -> F2Poly:
         raise ValueError("exponent must be nonnegative")
     if m.bits == 0:
         raise ZeroDivisionError("zero modulus")
-    result = _divmod_int(1, m.bits)[1]
-    base = _divmod_int(f.bits, m.bits)[1]
+    result = _mod_int(1, m.bits)
+    base = _mod_int(f.bits, m.bits)
     while e:
         if e & 1:
-            result = _divmod_int(_mul_int(result, base), m.bits)[1]
-        base = _divmod_int(_mul_int(base, base), m.bits)[1]
+            result = _mod_int(_mul_int(result, base), m.bits)
+        base = _mod_int(_mul_int(base, base), m.bits)
         e >>= 1
     return F2Poly(result)
 

@@ -56,6 +56,12 @@ CSV_HEADER = (
 _CSV_FIELDS = operator.itemgetter(*CSV_HEADER.split(","))
 _CSV_FLAGS = ("false", "true")
 
+# Largest period a family parameter or a sequence file may give.  The kernels
+# are O(N^2), and a pair's interleaving has N = 4 * period, so larger inputs
+# are rejected before anything is built.  Stays above the largest named base
+# period (899).
+MAX_PERIOD = 2**14 - 1
+
 
 # ---------------------------------------------------------------------------
 # Sequence file I/O (one line of '0'/'1' characters, optional trailing newline)
@@ -63,9 +69,11 @@ _CSV_FLAGS = ("false", "true")
 
 def read_sequence(path) -> BinarySeq:
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
+        text = fh.read(MAX_PERIOD + 2)  # one period, a newline, one too many
     if text.endswith("\n"):
         text = text[:-1]
+    if len(text) > MAX_PERIOD:
+        raise ValueError(f"{path}: sequence longer than the period ceiling {MAX_PERIOD}")
     if not text:
         raise ValueError(f"{path}: empty sequence file")
     return BinarySeq.from_string(text)
@@ -175,6 +183,16 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
     smallest encoding, "alt" the second smallest, and a decimal string an
     explicit encoding.  No other family takes a variant.
     """
+    if family == "m-sequence":
+        period = 2 ** min(param, 64) - 1  # 2**l itself is not built for a huge l
+    elif family.startswith("twin-prime"):
+        period = param * (param + 2)
+    else:
+        period = param
+    if param > 0 and period > MAX_PERIOD:  # the generators reject the rest
+        raise ValueError(
+            f"{family} parameter {param} gives a period above the ceiling {MAX_PERIOD}"
+        )
     if family == "m-sequence":
         if variant is None:
             return m_sequence(param)

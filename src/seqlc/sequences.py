@@ -176,14 +176,16 @@ def autocorrelation(a: BinarySeq, tau: int) -> int:
 
 
 def _xor_weights(a: BinarySeq) -> Iterator[int]:
-    """Weight of a XOR L^tau(a) for tau = 1 .. N-1; A(tau) is N minus twice it.
+    """Weight of a XOR L^tau(a) for tau = 1 .. N//2; A(tau) is N minus twice it.
 
+    The halved correlation kernel: A(tau) = A(N - tau) for every periodic
+    sequence, so the shifts above N/2 repeat these and are not computed.
     A generator, so that verdicts consuming it through all() stop at the
     first bad shift.
     """
     n, m = a.period, a.mask
     full, twice = (1 << n) - 1, m | (m << n)  # two periods: L^tau is one shift
-    for tau in range(1, n):
+    for tau in range(1, n // 2 + 1):
         yield (m ^ ((twice >> tau) & full)).bit_count()
 
 
@@ -193,7 +195,9 @@ def autocorrelation_profile(a: BinarySeq) -> dict[int, int]:
     counts: dict[int, int] = {}
     for weight in _xor_weights(a):
         v = n - 2 * weight
-        counts[v] = counts.get(v, 0) + 1
+        counts[v] = counts.get(v, 0) + 2  # tau and N - tau
+    if n % 2 == 0:  # the last shift, tau = N/2, is its own mirror
+        counts[v] -= 1
     return counts
 
 

@@ -25,6 +25,10 @@ from seqlc.harness import (
 from seqlc.sequences import GroupElement, legendre_seq, m_sequence
 
 
+def _must_not_build(*args, **kwargs):
+    raise AssertionError("an input above the period ceiling reached a builder")
+
+
 def theorem5_p7():
     return [s for s in theorem5_campaigns(ps=(7,)) if s.expectation is not None][0]
 
@@ -321,6 +325,41 @@ class TestCli:
         assert err.startswith("error:") and err.count("\n") == 1
         if message is not None:
             assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "family, flag, param",
+        [("m-sequence", "--l", 40), ("legendre", "--p", 16411), ("twin-prime", "--p", 137)],
+    )
+    def test_period_ceiling_rejects_parameter(
+        self, monkeypatch, capsys, family, flag, param
+    ):
+        for name in ("m_sequence", "legendre_seq", "hall_seq", "twin_prime_seq"):
+            monkeypatch.setattr(harness, name, _must_not_build)
+        assert main(["gen", family, flag, str(param)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {family} parameter {param} gives a period above the ceiling "
+            f"{harness.MAX_PERIOD}\n"
+        )
+
+    def test_period_ceiling_admits_the_ceiling(self):
+        assert harness.MAX_PERIOD > 899  # the largest named base period
+        with pytest.raises(ValueError, match="not a prime"):  # 16383 = 3 * 43 * 127
+            build_family("legendre", harness.MAX_PERIOD)
+        with pytest.raises(ValueError, match="above the ceiling"):
+            build_family("legendre", harness.MAX_PERIOD + 1)
+
+    def test_period_ceiling_rejects_file(self, tmp_path, capsys, monkeypatch):
+        at = tmp_path / "at.txt"
+        at.write_text("1" * harness.MAX_PERIOD + "\n")
+        assert read_sequence(at).period == harness.MAX_PERIOD
+        over = tmp_path / "over.txt"
+        over.write_text("1" * (harness.MAX_PERIOD + 1))
+        monkeypatch.setattr(harness.BinarySeq, "from_string", _must_not_build)
+        assert main(["autocorr", str(over)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {over}: sequence longer than the period ceiling "
+            f"{harness.MAX_PERIOD}\n"
+        )
 
     def test_interleave_and_lc(self, tmp_path, capsys):
         pa = tmp_path / "a.txt"

@@ -4,6 +4,8 @@ Each reference below works on plain lists of 0/1 and shares no code with
 the byte-per-bit view, the rotate-XOR-popcount kernel or the bit packing
 it checks.  Periods run from 1 to 200, with periods = 0 and = 3 (mod 4)
 drawn explicitly because is_optimal and is_ideal are defined only there.
+The halved correlation kernel's profile and Berlekamp-Massey are checked
+on periods drawn evenly from every residue mod 4.
 """
 
 import math
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqlc.complexity import lc_berlekamp_massey
 from seqlc.f2poly import F2Poly, stretch
 from seqlc.interleave import interleave4, is_optimal, tang_ding
 from seqlc.sequences import (
@@ -28,6 +31,7 @@ from seqlc.sequences import (
     sample,
     twin_prime_seq,
 )
+from test_complexity import list_berlekamp_massey
 
 MAX_N = 200
 
@@ -35,6 +39,12 @@ periods = st.one_of(
     st.integers(1, MAX_N),
     st.integers(1, MAX_N // 4).map(lambda k: 4 * k),
     st.integers(0, (MAX_N - 3) // 4).map(lambda k: 4 * k + 3),
+)
+
+# 4k + r with r drawn evenly from 1..4: N = 2 (mod 4) includes the shift
+# tau = N/2 that the halved kernel counts once.
+every_residue = st.builds(
+    lambda k, r: 4 * k + r, st.integers(0, MAX_N // 4 - 1), st.integers(1, 4)
 )
 
 
@@ -94,9 +104,17 @@ class TestCorrelationKernel:
     def test_autocorrelation(self, bits, tau):
         assert autocorrelation(seq(bits), tau) == ref_autocorr(bits, tau)
 
-    @given(bit_lists())
+    @given(bit_lists(every_residue))
     def test_profile(self, bits):
         assert autocorrelation_profile(seq(bits)) == ref_profile(bits)
+
+    @pytest.mark.parametrize(
+        "text, profile",
+        [("0", {}), ("1", {}), ("01", {-2: 1}), ("0011", {0: 2, -4: 1})],
+    )
+    def test_profile_smallest_periods(self, text, profile):
+        bits = [int(c) for c in text]
+        assert autocorrelation_profile(seq(bits)) == ref_profile(bits) == profile
 
     @given(bit_lists(periods.filter(lambda n: n % 4 == 3)))
     def test_is_ideal_random(self, bits):
@@ -124,6 +142,21 @@ class TestCorrelationKernel:
         assert is_optimal(w) and set(ref_profile(list(w.bits))) <= {0, -4}
         v = flip(w, data.draw(st.integers(0, 4 * MAX_N)))
         assert is_optimal(v) == (set(ref_profile(list(v.bits))) <= {0, -4})
+
+
+class TestBerlekampMassey:
+    @given(bit_lists(every_residue))
+    def test_matches_list_reference(self, bits):
+        assert lc_berlekamp_massey(seq(bits)) == list_berlekamp_massey(bits * 2)
+
+    # All-zero, all-one and impulse at N = 1 and 2, where the window shift
+    # 2N - 1 - k runs from its largest value to 0 in two or four steps.
+    @pytest.mark.parametrize(
+        "text, lc", [("0", 0), ("1", 1), ("00", 0), ("11", 1), ("10", 2), ("01", 2)]
+    )
+    def test_window_ends(self, text, lc):
+        bits = [int(c) for c in text]
+        assert lc_berlekamp_massey(seq(bits)) == list_berlekamp_massey(bits * 2) == lc
 
 
 class TestByteView:
