@@ -8,7 +8,7 @@ Subcommands:
               of two files, cross-checked three ways)
 * interleave  build the period-4n interleaving of two sequence files
 * verify      run named verification campaigns and report pass/fail
-* report      convert an emitted JSON report to CSV (or re-emit JSON)
+* report      convert an emitted JSON report to CSV (or re-emit it, checked)
 
 Exit status: 0 when every asserted claim holds, 1 when an asserted
 claim fails (verify), 2 when an input is rejected; a rejected input
@@ -143,10 +143,8 @@ def _cmd_verify(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.input, "r", encoding="ascii") as fh:
         text = fh.read()
-    if args.format == "csv":
-        _out(harness.json_to_csv(text), args.out)
-    else:
-        _out(text, args.out)
+    csv = harness.json_to_csv(text)  # rejects a non-report in either format
+    _out(csv if args.format == "csv" else text, args.out)
     return 0
 
 

@@ -2,8 +2,9 @@
 
 For a period-N binary sequence the linear complexity is N minus the degree
 of gcd(S(x), x^N - 1), where S is the period polynomial.  That gcd route
-and an iterative Berlekamp-Massey synthesis are implemented separately so
-each serves as an oracle for the other.
+and a Berlekamp-Massey synthesis in discrepancy form are separate code over
+separate inputs (BM reads only the 2N-term stream), so each is an oracle for
+the other, although the two algorithms are equivalent (Dornstetter 1987).
 
 For the period-4n interleaved sequence w(a, b) of two ideal-autocorrelation
 sequences there is a closed form
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .f2poly import (
-    F2Poly, _bit_view, all_ones, gcd, mul_mod, seq_poly, stretch, x_pow_n_plus_1,
+    F2Poly, all_ones, gcd, mul_mod, seq_poly, stretch, x_pow_n_plus_1,
 )
 from .interleave import tang_ding
 from .numtheory import is_prime
@@ -45,25 +46,26 @@ def lc_gcd(a: BinarySeq) -> int:
 def lc_berlekamp_massey(a: BinarySeq) -> int:
     """Length of the shortest GF(2) LFSR generating the periodic extension.
 
-    Runs the iterative synthesis over exactly 2N terms, which determines
-    the true linear complexity because LC <= N for an N-periodic sequence.
-    All polynomials are bit-packed; the discrepancy is a masked popcount
-    against the window s_k, s_{k-1}, ..., s_0.  The two-period stream is
-    packed reversed once (bit 2N-1-i holds s_i), so step k's window is a
-    single right shift of it, bit j = s_{k-j}.
+    Massey's synthesis over the 2N terms S = s_0 .. s_{2N-1} (LC <= N), in
+    discrepancy form: d_k = (C*S)_k, so only D = C*S >> k and E = B*S >> m
+    are kept, m being B's step (B = 1 at m = -1, d = 1); C += x^(k-m) B is
+    D ^= E.  All 2N discrepancies are determined; zero ones cost nothing, as
+    the loop jumps to the next set bit of D.  It stops only at D = 0 or step
+    2N, never at 2n + 2 or N + L, and never reads x^N - 1 or the closed form.
     """
-    N = a.period
-    top = 2 * N - 1
-    stream = int(_bit_view(a.mask, N) * 2, 2)  # two periods, s_0 in the top bit
-    C, B = 1, 1  # connection polynomial and previous best, bit i = coeff of x^i
-    L, m = 0, -1  # current LFSR length, step of the last length change
-    for k in range(2 * N):
-        if (C & (stream >> (top - k))).bit_count() & 1:
-            if 2 * L <= k:
-                C, B = C ^ (B << (k - m)), C
-                L, m = k + 1 - L, k
-            else:
-                C ^= B << (k - m)
+    N, S = a.period, a.mask | a.mask << a.period  # two periods, bit i = s_i
+    D, E, L, k = S, 1 | S << 1, 0, 0
+    while D:
+        low = D & 0xFFFFFFFF or D  # a word-sized AND finds the next bit nearly always
+        t = (low & -low).bit_length() - 1  # zero discrepancies to skip
+        k += t
+        if k >= 2 * N:
+            break
+        D >>= t
+        if 2 * L <= k:
+            D, E, L = D ^ E, D, k + 1 - L
+        else:
+            D ^= E
     return L
 
 

@@ -104,6 +104,26 @@ class TestBerlekampMassey:
         w = tang_ding(legendre_seq(7), shift(legendre_seq(7, "ell_prime"), 1))
         assert lc_berlekamp_massey(w) == 16
 
+    def test_every_sequence_up_to_period_10(self):
+        for n in range(1, 11):
+            for mask in range(2**n):
+                a = BinarySeq(mask, n)
+                ref = list_berlekamp_massey(list(a.bits) * 2)
+                assert lc_berlekamp_massey(a) == ref == lc_gcd(a), (n, mask)
+
+    def test_impulses_and_complements(self):
+        # The impulse's two-period stream holds zero runs of j and N - 1 terms,
+        # which the loop crosses in single jumps; the complement is dense.
+        for n in range(1, 65):
+            for j in range(n):
+                for a in (BinarySeq(1 << j, n), complement(BinarySeq(1 << j, n))):
+                    ref = list_berlekamp_massey(list(a.bits) * 2)
+                    assert lc_berlekamp_massey(a) == ref == lc_gcd(a), (n, j, a.mask)
+
+    def test_no_ceiling_at_period_4n(self):
+        # Period 4n with n = 899: the impulse's LC is N, far above 2n + 2 = 1800.
+        assert lc_berlekamp_massey(BinarySeq(1, 3596)) == 3596
+
 
 class TestZSetSizes:
     def test_equal_arguments(self):

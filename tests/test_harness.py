@@ -300,6 +300,7 @@ class TestCli:
             (["report"], lambda: theorem5_p7_payload(attains_max=-1), None),
             (["report"], lambda: theorem5_p7_payload(attains_max=1), None),
             (["report"], lambda: theorem5_p7_payload(two_adic_max=0), None),
+            (["report", "--format", "json"], "hello", None),
             (
                 ["gen", "m-sequence", "--l", "3", "--variant", "bogus"],
                 None,
@@ -310,16 +311,17 @@ class TestCli:
             "gen-no-p", "msequence-no-l", "verify-no-grid", "variant-not-msequence",
             "report-list", "report-campaigns-int", "report-campaign-int",
             "report-attains-max-2", "report-attains-max-minus-1",
-            "report-attains-max-1", "report-two-adic-max-0", "msequence-bad-variant",
+            "report-attains-max-1", "report-two-adic-max-0", "report-json-not-a-report",
+            "msequence-bad-variant",
         ],
     )
     def test_bad_input_is_one_line_error(
         self, tmp_path, capsys, argv, payload, message
     ):
-        if payload is not None:
+        if payload is not None:  # a text payload is written as it is
             src = tmp_path / "r.json"
-            src.write_text(json.dumps(payload()))
-            argv = [*argv, str(src), "--format", "csv"]
+            src.write_text(payload if isinstance(payload, str) else json.dumps(payload()))
+            argv = [argv[0], str(src), "--format", "csv", *argv[1:]]  # the last --format wins
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1

@@ -149,8 +149,9 @@ class TestBerlekampMassey:
     def test_matches_list_reference(self, bits):
         assert lc_berlekamp_massey(seq(bits)) == list_berlekamp_massey(bits * 2)
 
-    # All-zero, all-one and impulse at N = 1 and 2, where the window shift
-    # 2N - 1 - k runs from its largest value to 0 in two or four steps.
+    # All-zero, all-one and impulse at N = 1 and 2: the loop never starts
+    # (D = 0), starts at step 0 or jumps over s_0, and its last jump lands
+    # exactly on step 2N or past it.
     @pytest.mark.parametrize(
         "text, lc", [("0", 0), ("1", 1), ("00", 0), ("11", 1), ("10", 2), ("01", 2)]
     )
