@@ -93,11 +93,11 @@ class TestRunCampaign:
         assert [(pt.r, pt.s) for pt in res.points] == [(r, 1) for r in range(1, 7)]
         assert all(pt.report.lc_formula == 16 for pt in res.points)
 
-    def test_two_adic_verdict_not_asserted_beyond_p127(self):
-        # The 2-adic claim covers n <= 127 only; at p = 131 the expectation
-        # must leave two_adic_max unasserted, not require it to be False.
+    def test_two_adic_verdict_asserted_beyond_p127(self):
+        # The paper claims 2-adic maximality for every interleaving, so the
+        # verdict is asserted above the twoadic sweep's n <= 127 too.
         spec = next(s for s in theorem5_campaigns(ps=(131,)) if s.expectation)
-        assert spec.expectation.two_adic_max is None
+        assert spec.expectation.two_adic_max is True
         res = run_campaigns([spec])[0]
         assert len(res.points) == 130
         assert res.passed, [pt.failures for pt in res.points if not pt.passed][:3]
