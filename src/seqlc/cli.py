@@ -29,6 +29,7 @@ from .complexity import (
     two_adic_gcd,
 )
 from .harness import (
+    CSV_HEADER,
     NAMED_CAMPAIGNS,
     build_family,
     emit_report,
@@ -96,15 +97,11 @@ def _cmd_lc(args) -> int:
         return 0
     b = read_sequence(args.pair)
     report = analyze_pair(a, b)
+    # The CSV row's fields but the group element (r, s), one line each.
     lines = [
-        f"n {report.n}",
-        f"lc_direct {report.lc_direct}",
-        f"lc_bm {report.lc_bm}",
-        f"lc_formula {report.lc_formula}",
-        f"z_ab {report.z_ab}",
-        f"z_sum {report.z_sum}",
-        f"attains_max {str(report.attains_max).lower()}",
-        f"two_adic_max {str(report.two_adic_max).lower()}",
+        f"{key} {str(getattr(report, key)).lower()}"
+        for key in CSV_HEADER.split(",")
+        if key not in ("r", "s")
     ]
     _out("\n".join(lines) + "\n", args.out)
     return 0

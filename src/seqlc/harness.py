@@ -11,7 +11,10 @@ The named campaigns wired into the CLI cover every quantitative claim the
 library reproduces: Legendre pairs, m-sequence pairs sharing or not
 sharing a minimal polynomial, Hall pairs in both residue classes mod 8,
 Legendre-by-Hall pairs, twin-prime pairs, the below-ceiling spot checks,
-a cross-family consistency sweep, and the 2-adic maximality sweep.
+a cross-family consistency sweep, and the 2-adic maximality sweep.  Every
+asserted campaign also asserts 2-adic maximality, which the paper claims
+for every interleaving; the twoadic sweep re-runs the n <= 127 grids with
+that verdict as their only claim.
 """
 
 from __future__ import annotations
@@ -176,6 +179,15 @@ class CampaignResult:
     wall_time_s: float
 
 
+def _family_period(family: str, param: int) -> int:
+    """Period of the base sequence that build_family gives at param."""
+    if family == "m-sequence":
+        return 2 ** min(param, 64) - 1  # 2**l itself is not built for a huge l
+    if family.startswith("twin-prime"):
+        return param * (param + 2)
+    return param
+
+
 def build_family(family: str, param: int, variant: str | None = None) -> BinarySeq:
     """Base sequence for a campaign slot.
 
@@ -183,13 +195,8 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
     smallest encoding, "alt" the second smallest, and a decimal string an
     explicit encoding.  No other family takes a variant.
     """
-    if family == "m-sequence":
-        period = 2 ** min(param, 64) - 1  # 2**l itself is not built for a huge l
-    elif family.startswith("twin-prime"):
-        period = param * (param + 2)
-    else:
-        period = param
-    if param > 0 and period > MAX_PERIOD:  # the generators reject the rest
+    # The generators reject a param <= 0 themselves.
+    if param > 0 and _family_period(family, param) > MAX_PERIOD:
         raise ValueError(
             f"{family} parameter {param} gives a period above the ceiling {MAX_PERIOD}"
         )
@@ -282,9 +289,22 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
 TWO_ADIC_MAX_N = 127
 
 
-def _expect(n: int, **lc) -> Expectation:
-    """The LC claim in lc (lc_exact or lc_below) plus 2-adic maximality."""
-    return Expectation(**lc, two_adic_max=True)
+def _claim(name, family_a, family_b, param, grid, *, param_b=None,
+           variant_a=None, variant_b=None, **lc) -> CampaignSpec:
+    """An asserted campaign: the LC claim in lc (lc_exact or lc_below, none
+    for the bound sweep) plus 2-adic maximality, which the paper claims for
+    every interleaving."""
+    return CampaignSpec(
+        name, family_a, family_b, param, grid, Expectation(**lc, two_adic_max=True),
+        param_b=param_b, variant_a=variant_a, variant_b=variant_b,
+    )
+
+
+def _recorded(spec: CampaignSpec, suffix: str, grid) -> CampaignSpec:
+    """spec's pair over grid, outside the claim: run and reported unasserted."""
+    return dataclasses.replace(
+        spec, name=spec.name + suffix, grid=grid, expectation=None
+    )
 
 
 def _product_grid(r_range, s_values) -> tuple[GroupElement, ...]:
@@ -306,23 +326,16 @@ def _with_r0_twin(spec: CampaignSpec, recorded) -> list[CampaignSpec]:
     recorded, which lie outside the claim (no twin when recorded is empty)."""
     if not recorded:
         return [spec]
-    twin = dataclasses.replace(
-        spec, name=f"{spec.name}-r0-recorded", grid=recorded, expectation=None
-    )
-    return [spec, twin]
+    return [spec, _recorded(spec, "-r0-recorded", recorded)]
 
 
 def theorem5_campaigns(ps=(7, 11, 19, 23)) -> list[CampaignSpec]:
     """Legendre pairs (ell, L^r(ell')) with r != 0: LC hits the 2p+2 ceiling."""
     specs = []
     for p in ps:
-        spec = CampaignSpec(
-            name=f"theorem5-p{p}",
-            family_a="legendre",
-            family_b="legendre-prime",
-            param=p,
-            grid=_product_grid(range(1, p), (1,)),
-            expectation=_expect(p, lc_exact=2 * p + 2),
+        spec = _claim(
+            f"theorem5-p{p}", "legendre", "legendre-prime", p,
+            _product_grid(range(1, p), (1,)), lc_exact=2 * p + 2,
         )
         specs += _with_r0_twin(spec, (GroupElement(0, 1),))
     return specs
@@ -333,27 +346,14 @@ def msequence_campaigns(ls=(3, 4, 5)) -> list[CampaignSpec]:
     specs = []
     for l in ls:
         n = (1 << l) - 1
-        specs.append(
-            CampaignSpec(
-                name=f"msequence-l{l}-same-poly",
-                family_a="m-sequence",
-                family_b="m-sequence",
-                param=l,
-                grid=_product_grid(range(1, n), (1,)),
-                expectation=_expect(n, lc_exact=2 * l + 4),
-            )
-        )
-        specs.append(
-            CampaignSpec(
-                name=f"msequence-l{l}-distinct-poly",
-                family_a="m-sequence",
-                family_b="m-sequence",
-                param=l,
-                variant_b="alt",
-                grid=_product_grid(range(0, n), (1,)),
-                expectation=_expect(n, lc_exact=4 * l + 4),
-            )
-        )
+        specs.append(_claim(
+            f"msequence-l{l}-same-poly", "m-sequence", "m-sequence", l,
+            _product_grid(range(1, n), (1,)), lc_exact=2 * l + 4,
+        ))
+        specs.append(_claim(
+            f"msequence-l{l}-distinct-poly", "m-sequence", "m-sequence", l,
+            _product_grid(range(0, n), (1,)), variant_b="alt", lc_exact=4 * l + 4,
+        ))
     return specs
 
 
@@ -363,17 +363,7 @@ def example1_campaign(p: int = 31) -> list[CampaignSpec]:
         raise ValueError("this construction is claimed for p = 7 mod 8")
     _, classes = hall_construction(p)
     grid = tuple(GroupElement(2, j) for j in sorted(classes.classes[4]))
-    lc = (2 * p + 10) // 3
-    return [
-        CampaignSpec(
-            name=f"example1-p{p}",
-            family_a="hall",
-            family_b="hall",
-            param=p,
-            grid=grid,
-            expectation=_expect(p, lc_exact=lc),
-        )
-    ]
+    return [_claim(f"example1-p{p}", "hall", "hall", p, grid, lc_exact=(2 * p + 10) // 3)]
 
 
 def theorem6_campaigns(ps=(43, 283), full_s: bool = False) -> list[CampaignSpec]:
@@ -383,16 +373,7 @@ def theorem6_campaigns(ps=(43, 283), full_s: bool = False) -> list[CampaignSpec]
         if p % 8 != 3:
             raise ValueError("claimed for p = 3 mod 8 only")
         grid = _product_grid(range(1, p), _hall_s_reps(p, full=full_s))
-        specs.append(
-            CampaignSpec(
-                name=f"theorem6-p{p}",
-                family_a="hall",
-                family_b="hall",
-                param=p,
-                grid=grid,
-                expectation=_expect(p, lc_exact=2 * p + 2),
-            )
-        )
+        specs.append(_claim(f"theorem6-p{p}", "hall", "hall", p, grid, lc_exact=2 * p + 2))
     return specs
 
 
@@ -415,14 +396,7 @@ def theorem7_campaigns(p: int = 43, full_s: bool = False) -> list[CampaignSpec]:
         recorded = tuple(
             GroupElement(0, s) for s in reps if legendre_symbol(s, p) != sym
         )
-        spec = CampaignSpec(
-            name=f"theorem7-{fam}-p{p}",
-            family_a=fam,
-            family_b="hall",
-            param=p,
-            grid=asserted,
-            expectation=_expect(p, lc_exact=2 * p + 2),
-        )
+        spec = _claim(f"theorem7-{fam}-p{p}", fam, "hall", p, asserted, lc_exact=2 * p + 2)
         specs += _with_r0_twin(spec, recorded)
     return specs
 
@@ -433,27 +407,23 @@ def theorem9_campaigns(ps=(5, 29), record_complementary=(11,)) -> list[CampaignS
     Asserted for p = 1 mod 4 (LC = 2n+2).  Twin pairs with p = 3 mod 4 are
     outside the claim; when listed they are recorded without assertion.
     """
-    specs = []
-    for p, assert_it in [(p, True) for p in ps] + [
-        (p, False) for p in record_complementary
-    ]:
-        if assert_it and p % 4 != 1:
+    for p in ps:
+        if p % 4 != 1:
             raise ValueError(f"claimed for p = 1 mod 4, got {p}")
+
+    def twin_pairs(p):
         n = p * (p + 2)
-        units = [r for r in range(1, n) if math.gcd(r, n) == 1]
-        for fam in ("twin-prime", "twin-prime-tau"):
-            tag = "" if assert_it else "-recorded"
-            specs.append(
-                CampaignSpec(
-                    name=f"theorem9-p{p}-{fam}{tag}",
-                    family_a="twin-prime",
-                    family_b=fam,
-                    param=p,
-                    grid=_product_grid(units, (1,)),
-                    expectation=_expect(n, lc_exact=2 * n + 2) if assert_it else None,
-                )
-            )
-    return specs
+        grid = _product_grid([r for r in range(1, n) if math.gcd(r, n) == 1], (1,))
+        return [
+            _claim(f"theorem9-p{p}-{fam}", "twin-prime", fam, p, grid, lc_exact=2 * n + 2)
+            for fam in ("twin-prime", "twin-prime-tau")
+        ]
+
+    return [spec for p in ps for spec in twin_pairs(p)] + [
+        _recorded(spec, "-recorded", spec.grid)
+        for p in record_complementary
+        for spec in twin_pairs(p)
+    ]
 
 
 def remarks_campaigns(p: int = 31, full_s: bool = False) -> list[CampaignSpec]:
@@ -461,32 +431,36 @@ def remarks_campaigns(p: int = 31, full_s: bool = False) -> list[CampaignSpec]:
     if p % 8 != 7:
         raise ValueError("claimed for p = 7 mod 8 only")
     grid = _product_grid(range(0, p), _hall_s_reps(p, full=full_s))
-    specs = []
-    for fam in ("hall", "legendre", "legendre-prime"):
-        specs.append(
-            CampaignSpec(
-                name=f"remarks-{fam}-p{p}",
-                family_a=fam,
-                family_b="hall",
-                param=p,
-                grid=grid,
-                expectation=_expect(p, lc_below=2 * p + 2),
-            )
-        )
-    return specs
+    return [
+        _claim(f"remarks-{fam}-p{p}", fam, "hall", p, grid, lc_below=2 * p + 2)
+        for fam in ("hall", "legendre", "legendre-prime")
+    ]
 
 
+# The bound sweep's slots by base period n: the family, variant and parameter
+# that build_family takes, then the slot's label in the campaign name.
 _BOUND_POOL = {
-    7: (("legendre", None), ("legendre-prime", None), ("m-sequence", 3),
-        ("m-sequence-alt", 3)),
-    11: (("legendre", None), ("legendre-prime", None)),
-    15: (("m-sequence", 4), ("m-sequence-alt", 4)),
-    19: (("legendre", None), ("legendre-prime", None)),
-    23: (("legendre", None), ("legendre-prime", None)),
-    31: (("legendre", None), ("legendre-prime", None), ("hall", None),
-         ("m-sequence", 5), ("m-sequence-alt", 5)),
-    35: (("twin-prime", 5), ("twin-prime-tau", 5)),
-    43: (("legendre", None), ("hall", None)),
+    7: (("legendre", None, 7, "legendre"),
+        ("legendre-prime", None, 7, "legendre-prime"),
+        ("m-sequence", None, 3, "m-sequence"),
+        ("m-sequence", "alt", 3, "m-sequence-alt")),
+    11: (("legendre", None, 11, "legendre"),
+         ("legendre-prime", None, 11, "legendre-prime")),
+    15: (("m-sequence", None, 4, "m-sequence"),
+         ("m-sequence", "alt", 4, "m-sequence-alt")),
+    19: (("legendre", None, 19, "legendre"),
+         ("legendre-prime", None, 19, "legendre-prime")),
+    23: (("legendre", None, 23, "legendre"),
+         ("legendre-prime", None, 23, "legendre-prime")),
+    31: (("legendre", None, 31, "legendre"),
+         ("legendre-prime", None, 31, "legendre-prime"),
+         ("hall", None, 31, "hall"),
+         ("m-sequence", None, 5, "m-sequence"),
+         ("m-sequence", "alt", 5, "m-sequence-alt")),
+    35: (("twin-prime", None, 5, "twin-prime"),
+         ("twin-prime-tau", None, 5, "twin-prime-tau")),
+    43: (("legendre", None, 43, "legendre"),
+         ("hall", None, 43, "hall")),
 }
 
 
@@ -505,38 +479,17 @@ def bound_campaigns(seed: int = BOUND_SEED, sigmas_per_pair: int = 4) -> list[Ca
     specs = []
     for n, pool in sorted(_BOUND_POOL.items()):
         units = [s for s in range(1, n) if math.gcd(s, n) == 1]
-        for fam_a, par_a in pool:
-            for fam_b, par_b in pool:
+        for fa, va, pa, label_a in pool:
+            for fb, vb, pb, label_b in pool:
                 grid = tuple(
                     GroupElement(rng.randrange(n), rng.choice(units))
                     for _ in range(sigmas_per_pair)
                 )
-                fa, va, pa = _bound_slot(fam_a, par_a, n)
-                fb, vb, pb = _bound_slot(fam_b, par_b, n)
-                specs.append(
-                    CampaignSpec(
-                        name=f"bound-n{n}-{fam_a}-x-{fam_b}",
-                        family_a=fa,
-                        family_b=fb,
-                        param=pa,
-                        param_b=pb,
-                        variant_a=va,
-                        variant_b=vb,
-                        grid=grid,
-                        expectation=_expect(n),
-                    )
-                )
+                specs.append(_claim(
+                    f"bound-n{n}-{label_a}-x-{label_b}", fa, fb, pa, grid,
+                    param_b=pb, variant_a=va, variant_b=vb,
+                ))
     return specs
-
-
-def _bound_slot(fam: str, par, n: int):
-    if fam == "m-sequence":
-        return "m-sequence", None, par
-    if fam == "m-sequence-alt":
-        return "m-sequence", "alt", par
-    if fam in ("twin-prime", "twin-prime-tau"):
-        return fam, None, par
-    return fam, None, n  # legendre / legendre-prime / hall keyed by the period
 
 
 def twoadic_campaigns() -> list[CampaignSpec]:
@@ -549,45 +502,49 @@ def twoadic_campaigns() -> list[CampaignSpec]:
         + theorem7_campaigns()
         + theorem9_campaigns(ps=(5,), record_complementary=())
     )
-    out = []
-    for spec in pool:
-        if spec.expectation is None:
-            continue
-        base = build_family(spec.family_a, spec.param, spec.variant_a)
-        if base.period > TWO_ADIC_MAX_N:
-            continue
-        out.append(
-            dataclasses.replace(
-                spec,
-                name=f"twoadic-{spec.name}",
-                expectation=Expectation(two_adic_max=True),
-            )
+    return [
+        dataclasses.replace(
+            spec, name=f"twoadic-{spec.name}", expectation=Expectation(two_adic_max=True)
         )
-    return out
+        for spec in pool
+        if spec.expectation is not None
+        and _family_period(spec.family_a, spec.param) <= TWO_ADIC_MAX_N
+    ]
 
 
 NAMED_CAMPAIGNS = {
-    "theorem5": lambda **kw: theorem5_campaigns(),
-    "msequence": lambda **kw: msequence_campaigns(),
-    "example1": lambda **kw: example1_campaign(),
-    "theorem6": lambda **kw: theorem6_campaigns(full_s=kw.get("full_s", False)),
-    "theorem7": lambda **kw: theorem7_campaigns(full_s=kw.get("full_s", False)),
-    "theorem9": lambda **kw: theorem9_campaigns(),
-    "remarks": lambda **kw: remarks_campaigns(full_s=kw.get("full_s", False)),
-    "bound": lambda **kw: bound_campaigns(seed=kw.get("seed", BOUND_SEED)),
-    "twoadic": lambda **kw: twoadic_campaigns(),
+    "theorem5": theorem5_campaigns,
+    "msequence": msequence_campaigns,
+    "example1": example1_campaign,
+    "theorem6": theorem6_campaigns,
+    "theorem7": theorem7_campaigns,
+    "theorem9": theorem9_campaigns,
+    "remarks": remarks_campaigns,
+    "bound": bound_campaigns,
+    "twoadic": twoadic_campaigns,
 }
 
 
-def named_campaigns(name: str, **kw) -> list[CampaignSpec]:
+def named_campaigns(
+    name: str, *, full_s: bool = False, seed: int = BOUND_SEED
+) -> list[CampaignSpec]:
+    """The specs of one named campaign at its default parameters, or of every
+    one in NAMED_CAMPAIGNS order for "all".  full_s reaches the Hall grids of
+    theorem6, theorem7 and remarks, and seed the bound sweep."""
     if name == "all":
-        specs = []
-        for key in NAMED_CAMPAIGNS:
-            specs.extend(NAMED_CAMPAIGNS[key](**kw))
-        return specs
+        return [
+            spec
+            for key in NAMED_CAMPAIGNS
+            for spec in named_campaigns(key, full_s=full_s, seed=seed)
+        ]
     if name not in NAMED_CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}")
-    return NAMED_CAMPAIGNS[name](**kw)
+    build = NAMED_CAMPAIGNS[name]
+    if name == "bound":
+        return build(seed=seed)
+    if name in ("theorem6", "theorem7", "remarks"):
+        return build(full_s=full_s)
+    return build()
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ def test_criterion_11_polynomial_identities():
 
 
 def test_criterion_12_two_adic_maximality():
-    with criterion(12, "2-adic gcd is 1 for every interleaving with n <= 127"):
+    with criterion(12, "2-adic gcd is 1 for every interleaving of criteria 1-4 and 6"):
         t0 = time.perf_counter()
         keys = ("theorem5", "msequence", "example1", "theorem6", "theorem9")
         checked = 0
@@ -246,11 +246,11 @@ def test_criterion_12_two_adic_maximality():
             for res in results:
                 for pt in res.points:
                     rep = pt.report
-                    if rep is None or rep.n > 127:
+                    if rep is None:
                         continue
                     assert rep.two_adic_max, (res.spec.name, pt.r, pt.s)
                     checked += 1
-        assert checked > 300
+        assert checked > 3000  # the p = 283 and n = 899 points count too
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"{elapsed:.2f}s"
 

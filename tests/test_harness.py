@@ -247,6 +247,28 @@ class TestNamedCampaigns:
         with pytest.raises(ValueError):
             named_campaigns("theorem42")
 
+    def test_unknown_keyword_is_rejected(self):
+        with pytest.raises(TypeError):
+            named_campaigns("theorem6", fulls=True)
+
+    def test_twoadic_sweep_builds_no_base(self, monkeypatch):
+        specs = harness.twoadic_campaigns()
+        monkeypatch.setattr(harness, "build_family", _must_not_build)
+        assert harness.twoadic_campaigns() == specs
+
+    def test_family_period_is_the_built_period(self):
+        slots = {
+            slot
+            for spec in named_campaigns("all")
+            for slot in (
+                (spec.family_a, spec.param, spec.variant_a),
+                (spec.family_b, spec.param_b, spec.variant_b),
+            )
+        }
+        for family, param, variant in slots:
+            period = build_family(family, param, variant).period
+            assert harness._family_period(family, param) == period, (family, param)
+
     def test_bound_campaign_is_seed_deterministic(self):
         assert named_campaigns("bound", seed=3) == named_campaigns("bound", seed=3)
         assert named_campaigns("bound", seed=3) != named_campaigns("bound", seed=4)
@@ -374,8 +396,10 @@ class TestCli:
         assert w.period == 28
 
         assert main(["lc", str(pa), str(pb)]) == 0
-        text = capsys.readouterr().out
-        assert "lc_formula" in text
+        assert capsys.readouterr().out == (
+            "n 7\nlc_direct 16\nlc_bm 16\nlc_formula 16\nz_ab 0\nz_sum 0\n"
+            "attains_max true\ntwo_adic_max true\n"
+        )
 
         assert main(["lc", str(pa)]) == 0
         text = capsys.readouterr().out
