@@ -97,7 +97,7 @@ def _cmd_lc(args) -> int:
         return 0
     b = read_sequence(args.pair)
     report = analyze_pair(a, b)
-    # The CSV row's fields but the group element (r, s), one line each.
+    # The CSV row's fields without the group element (r, s), one per line.
     lines = [
         f"{key} {str(getattr(report, key)).lower()}"
         for key in CSV_HEADER.split(",")
