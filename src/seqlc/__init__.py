@@ -12,7 +12,6 @@ from .complexity import (
     two_adic_max,
     z_set_sizes,
 )
-from .f2poly import F2Poly, all_ones, seq_poly
 from .interleave import crt_component, interleave4, is_optimal, tang_ding
 from .numtheory import (
     CyclotomicClasses,
@@ -43,10 +42,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BinarySeq",
     "CyclotomicClasses",
-    "F2Poly",
     "GroupElement",
     "LCReport",
-    "all_ones",
     "analyze_pair",
     "apply_group",
     "autocorrelation",
@@ -69,7 +66,6 @@ __all__ = [
     "mod_inverse",
     "primitive_root",
     "sample",
-    "seq_poly",
     "shift",
     "tang_ding",
     "twin_prime_seq",

@@ -1,7 +1,8 @@
 """Linear complexity three independent ways, plus 2-adic maximality.
 
 For a period-N binary sequence the linear complexity is N minus the degree
-of gcd(S(x), x^N - 1), where S is the period polynomial.  That gcd route
+of gcd(S(x), x^N - 1), where S is the period polynomial: the sequence's
+mask read as a packed GF(2) polynomial (see f2poly).  That gcd route
 and a Berlekamp-Massey synthesis in discrepancy form are separate code over
 separate inputs (BM reads only the 2N-term stream), so each is an oracle for
 the other, although the two algorithms are equivalent (Dornstetter 1987).
@@ -26,9 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .f2poly import (
-    F2Poly, all_ones, gcd, mul_mod, seq_poly, stretch, x_pow_n_plus_1,
-)
+from .f2poly import gcd, mul_mod, stretch
 from .interleave import tang_ding
 from .numtheory import is_prime
 from .sequences import BinarySeq, autocorrelation_profile, is_ideal
@@ -39,8 +38,7 @@ def lc_gcd(a: BinarySeq) -> int:
     if a.mask == 0:
         return 0
     N = a.period
-    f = gcd(seq_poly(a), x_pow_n_plus_1(N))
-    return N - f.degree
+    return N + 1 - gcd(a.mask, (1 << N) | 1).bit_length()
 
 
 def lc_berlekamp_massey(a: BinarySeq) -> int:
@@ -81,14 +79,13 @@ def z_set_sizes(a: BinarySeq, b: BinarySeq) -> tuple[int, int]:
         raise ValueError("sequences must share one period")
     if n % 2 == 0:
         raise ValueError("period must be odd")
-    u = all_ones(n)
-    sa, sb = seq_poly(a), seq_poly(b)
-    z_ab = gcd(gcd(sa, sb), u).degree
-    z_sum = gcd(sa + sb, u).degree
+    u = (1 << n) - 1
+    z_ab = gcd(gcd(a.mask, b.mask), u).bit_length() - 1
+    z_sum = gcd(a.mask ^ b.mask, u).bit_length() - 1
     return z_ab, z_sum
 
 
-def lemma1_poly(a: BinarySeq, b: BinarySeq) -> F2Poly:
+def lemma1_poly(a: BinarySeq, b: BinarySeq) -> int:
     """Closed form of the period polynomial of w(a, b), reduced mod x^4n - 1.
 
     Equals (1 + x^2n) * S_a(x^4) + (x^n + x^3n) * S_b(x^4)
@@ -100,13 +97,10 @@ def lemma1_poly(a: BinarySeq, b: BinarySeq) -> F2Poly:
         raise ValueError("sequences must share one period")
     if n % 4 != 3:
         raise ValueError(f"period must be 3 mod 4, got {n}")
-    modulus = x_pow_n_plus_1(4 * n)
-    a4 = stretch(seq_poly(a), 4)
-    b4 = stretch(seq_poly(b), 4)
-    term_a = mul_mod(F2Poly(1 | (1 << (2 * n))), a4, modulus)
-    term_b = mul_mod(F2Poly((1 << n) | (1 << (3 * n))), b4, modulus)
-    comb = F2Poly(stretch(all_ones(n), 4).bits << 3)
-    return term_a + term_b + comb
+    modulus = (1 << (4 * n)) | 1
+    term_a = mul_mod(1 | (1 << (2 * n)), stretch(a.mask, 4), modulus)
+    term_b = mul_mod((1 << n) | (1 << (3 * n)), stretch(b.mask, 4), modulus)
+    return term_a ^ term_b ^ (stretch((1 << n) - 1, 4) << 3)
 
 
 def two_adic_gcd(a: BinarySeq) -> int:
@@ -121,7 +115,7 @@ def two_adic_max(a: BinarySeq) -> bool:
 
 def gauss_sum_poly(
     p: int, q: int, which: Literal["p", "q"], eps: int
-) -> F2Poly:
+) -> int:
     """Quadratic-residue indicator polynomial for one prime of a pair.
 
     For which="p" this is the sum of x^(q*i) over 1 <= i < p with
@@ -145,7 +139,7 @@ def gauss_sum_poly(
     for i in range(1, modulus):
         if (i in residues) == (eps == 1):
             bits |= 1 << (multiplier * i)
-    return F2Poly(bits)
+    return bits
 
 
 @dataclass(frozen=True)

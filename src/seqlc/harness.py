@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .complexity import LCReport, analyze_pair
-from .f2poly import F2Poly
 from .numtheory import legendre_symbol
 from .sequences import (
     BinarySeq,
@@ -211,7 +210,7 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
             raise ValueError(
                 f"m-sequence variant {variant!r} is neither 'alt' nor a decimal encoding"
             )
-        return m_sequence(param, char_poly=F2Poly(int(variant)))
+        return m_sequence(param, char_poly=int(variant))
     if variant is not None:
         raise ValueError(f"family {family!r} takes no variant")
     if family == "legendre":
@@ -466,9 +465,11 @@ _BOUND_POOL = {
 
 # Seed of the bound sweep's random group elements, unless one is given.
 BOUND_SEED = 20240901
+# Random group elements drawn for each pair of the bound sweep.
+_BOUND_SIGMAS_PER_PAIR = 4
 
 
-def bound_campaigns(seed: int = BOUND_SEED, sigmas_per_pair: int = 4) -> list[CampaignSpec]:
+def bound_campaigns(seed: int = BOUND_SEED) -> list[CampaignSpec]:
     """Cross-family sweep: random group elements over every same-period pair.
 
     No exact LC is expected; each point exercises the built-in consistency
@@ -483,7 +484,7 @@ def bound_campaigns(seed: int = BOUND_SEED, sigmas_per_pair: int = 4) -> list[Ca
             for fb, vb, pb, label_b in pool:
                 grid = tuple(
                     GroupElement(rng.randrange(n), rng.choice(units))
-                    for _ in range(sigmas_per_pair)
+                    for _ in range(_BOUND_SIGMAS_PER_PAIR)
                 )
                 specs.append(_claim(
                     f"bound-n{n}-{label_a}-x-{label_b}", fa, fb, pa, grid,

@@ -25,8 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
 
-from . import f2poly
-from .f2poly import F2Poly, _bit_view, _view_mask
+from .f2poly import _bit_view, _view_mask, pow_mod
 from .numtheory import (
     cyclotomic_classes6,
     factorize,
@@ -219,58 +218,48 @@ def is_ideal(a: BinarySeq) -> bool:
 # m-sequences
 
 
-def is_primitive_polynomial(f: F2Poly) -> bool:
+def is_primitive_polynomial(f: int) -> bool:
     """True iff the order of x mod f equals 2**deg(f) - 1."""
-    l = f.degree
-    if l is None or l < 1 or f.coeff(0) == 0:
+    if f < 2 or f & 1 == 0:  # constant, negative or divisible by x
         return False
+    l = f.bit_length() - 1
     order = (1 << l) - 1
-    if f2poly.pow_mod(f2poly.X, order, f) != f2poly.ONE:
+    if pow_mod(0b10, order, f) != 1:  # 0b10 is x
         return False
-    return all(
-        f2poly.pow_mod(f2poly.X, order // q, f) != f2poly.ONE
-        for q in factorize(order)
-    )
+    return all(pow_mod(0b10, order // q, f) != 1 for q in factorize(order))
 
 
-def primitive_polynomials(l: int) -> Iterator[F2Poly]:
+def primitive_polynomials(l: int) -> Iterator[int]:
     """Degree-l primitive polynomials in increasing integer encoding."""
     if l < 2:
         raise ValueError("degree must be at least 2")
-    for enc in range((1 << l) | 1, 1 << (l + 1), 2):
-        f = F2Poly(enc)
-        if is_primitive_polynomial(f):
-            yield f
+    return filter(is_primitive_polynomial, range((1 << l) | 1, 1 << (l + 1), 2))
 
 
-def primitive_polynomial(l: int) -> F2Poly:
+def primitive_polynomial(l: int) -> int:
     """The degree-l primitive polynomial with the smallest integer encoding."""
     return next(primitive_polynomials(l))
 
 
-def m_sequence(l: int, char_poly: F2Poly | None = None, alpha_exp: int = 0) -> BinarySeq:
+def m_sequence(l: int, char_poly: int | None = None) -> BinarySeq:
     """Maximal-length LFSR sequence of period 2**l - 1.
 
     The stream is the solution of the linear recurrence whose characteristic
-    polynomial is char_poly (primitive of degree l; smallest encoding when
-    omitted).  The initial state is the bit pattern of x**alpha_exp reduced
-    mod char_poly, so distinct alpha_exp values select distinct shifts of
-    the same trace sequence deterministically.
+    polynomial is char_poly (primitive of degree l, packed as an int;
+    smallest encoding when omitted).  The initial state is x**0 mod
+    char_poly = 1, so the stream starts 1, 0, ..., 0.
     """
     if l < 2:
         raise ValueError("degree must be at least 2")
     if char_poly is None:
         char_poly = primitive_polynomial(l)
-    if char_poly.degree != l:
+    if char_poly >> l != 1:  # degree exactly l, and no negative encoding
         raise ValueError(f"characteristic polynomial must have degree {l}")
     if not is_primitive_polynomial(char_poly):
-        raise ValueError(f"{char_poly!r} is not primitive")
+        raise ValueError(f"characteristic polynomial {char_poly} is not primitive")
     n = (1 << l) - 1
-    if not 0 <= alpha_exp < n:
-        raise ValueError(f"alpha_exp must lie in [0, {n})")
-    state = f2poly.pow_mod(f2poly.X, alpha_exp, char_poly).bits
-    taps = char_poly.bits & ((1 << l) - 1)
-    mask = state
+    taps = char_poly & ((1 << l) - 1)
+    mask = 1
     for i in range(l, n):
         nxt = (taps & (mask >> (i - l))).bit_count() & 1
         mask |= nxt << i

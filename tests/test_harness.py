@@ -328,13 +328,18 @@ class TestCli:
                 None,
                 "m-sequence variant 'bogus' is neither 'alt' nor a decimal encoding",
             ),
+            (
+                ["gen", "m-sequence", "--l", "4", "--variant", "31"],
+                None,
+                "characteristic polynomial 31 is not primitive",
+            ),
         ],
         ids=[
             "gen-no-p", "msequence-no-l", "verify-no-grid", "variant-not-msequence",
             "report-list", "report-campaigns-int", "report-campaign-int",
             "report-attains-max-2", "report-attains-max-minus-1",
             "report-attains-max-1", "report-two-adic-max-0", "report-json-not-a-report",
-            "msequence-bad-variant",
+            "msequence-bad-variant", "msequence-not-primitive",
         ],
     )
     def test_bad_input_is_one_line_error(
@@ -402,8 +407,9 @@ class TestCli:
         )
 
         assert main(["lc", str(pa)]) == 0
-        text = capsys.readouterr().out
-        assert "lc_gcd 3" in text or "lc_gcd" in text
+        assert capsys.readouterr().out == (
+            "period 7\nlc_gcd 4\nlc_berlekamp_massey 4\ntwo_adic_gcd 1\n"
+        )
 
     def test_autocorr(self, tmp_path, capsys):
         path = tmp_path / "a.txt"

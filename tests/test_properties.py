@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlc.complexity import lc_berlekamp_massey
-from seqlc.f2poly import F2Poly, stretch
+from seqlc.f2poly import stretch
 from seqlc.interleave import interleave4, is_optimal, tang_ding
 from seqlc.sequences import (
     BinarySeq,
@@ -166,7 +166,7 @@ class TestByteView:
         coeffs = bits_of(mask, mask.bit_length())
         spread = [0] * (k * len(coeffs))
         spread[::k] = coeffs
-        assert stretch(F2Poly(mask), k) == F2Poly(mask_of(spread))
+        assert stretch(mask, k) == mask_of(spread)
 
     @given(st.data())
     def test_interleave4(self, data):

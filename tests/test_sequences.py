@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from seqlc.f2poly import F2Poly, all_ones, seq_poly
 from seqlc.numtheory import legendre_symbol
 from seqlc.sequences import (
     BinarySeq,
@@ -71,12 +70,12 @@ class TestComplement:
         assert complement(BinarySeq.zeros(6)) == BinarySeq.ones(6)
 
     def test_seq_poly_identity(self):
-        # S_complement(a) = (1 + x + ... + x^(n-1)) + S_a
+        # S_complement(a) = (1 + x + ... + x^(n-1)) + S_a; S is the mask
         rng = random.Random(2)
         for n in (3, 7, 11):
             for _ in range(10):
                 a = BinarySeq(rng.getrandbits(n), n)
-                assert seq_poly(complement(a)) == all_ones(n) + seq_poly(a)
+                assert complement(a).mask == ((1 << n) - 1) ^ a.mask
 
 
 class TestShift:
@@ -209,26 +208,33 @@ class TestMSequence:
     def test_ideal_autocorrelation(self, l):
         assert is_ideal(m_sequence(l))
 
-    def test_alpha_exp_selects_shifts(self):
-        base = m_sequence(3, alpha_exp=0)
-        seqs = {m_sequence(3, alpha_exp=e) for e in range(7)}
-        assert len(seqs) == 7
-        assert all(tuple(s.bits) in rotations(list(base.bits)) for s in seqs)
-
     def test_rejects_non_primitive(self):
         # x^4 + x^3 + x^2 + x + 1 is irreducible but x has order 5, not 15
-        with pytest.raises(ValueError):
-            m_sequence(4, char_poly=F2Poly(0b11111))
+        with pytest.raises(ValueError, match="^characteristic polynomial 31 is not"):
+            m_sequence(4, char_poly=0b11111)
         # x^3 + 1 is reducible
         with pytest.raises(ValueError):
-            m_sequence(3, char_poly=F2Poly(0b1001))
+            m_sequence(3, char_poly=0b1001)
+        # a negative encoding has no degree
+        with pytest.raises(ValueError, match="must have degree 3"):
+            m_sequence(3, char_poly=-0b1011)
+
+    @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+    def test_initial_state_is_one(self, l):
+        # x^0 mod f = 1: the first l outputs are 1, 0, ..., 0
+        assert m_sequence(l).mask & ((1 << l) - 1) == 1
+
+    def test_degenerate_encodings_are_not_primitive(self):
+        for f in (0, 1, 0b10, 0b110, -0b1011):
+            assert not is_primitive_polynomial(f)
+        with pytest.raises(ValueError):
+            primitive_polynomials(1)
 
     def test_primitive_polynomial_selection(self):
-        assert primitive_polynomial(3).bits == 0b1011
-        gen = primitive_polynomials(3)
-        assert [f.bits for f in gen] == [0b1011, 0b1101]
-        assert is_primitive_polynomial(F2Poly(0b10011))  # x^4 + x + 1
-        assert not is_primitive_polynomial(F2Poly(0b11111))
+        assert primitive_polynomial(3) == 0b1011
+        assert list(primitive_polynomials(3)) == [0b1011, 0b1101]
+        assert is_primitive_polynomial(0b10011)  # x^4 + x + 1
+        assert not is_primitive_polynomial(0b11111)
 
 
 class TestLegendre:
