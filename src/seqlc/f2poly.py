@@ -52,8 +52,17 @@ def _view_mask(view) -> int:
     return int(view[::-1], 2) if view else 0
 
 
+def _require_polys(*polys: int) -> None:
+    """Reject a negative int, which packs no polynomial: the division loop
+    would never end on one.  Checked once per public call, not per division
+    step, where a check costs a few percent of lc_gcd."""
+    if min(polys) < 0:
+        raise ValueError("a packed polynomial must be a nonnegative int")
+
+
 def mul_mod(f: int, g: int, m: int) -> int:
     """(f * g) reduced mod m; m must be nonzero."""
+    _require_polys(f, g, m)
     if m == 0:
         raise ZeroDivisionError("zero modulus")
     return _mod_int(_mul_int(f, g), m)
@@ -61,6 +70,7 @@ def mul_mod(f: int, g: int, m: int) -> int:
 
 def gcd(f: int, g: int) -> int:
     """Greatest common divisor; gcd(0, g) = g and gcd(0, 0) = 0."""
+    _require_polys(f, g)
     while g:
         f, g = g, _mod_int(f, g)
     return f
@@ -70,6 +80,7 @@ def pow_mod(f: int, e: int, m: int) -> int:
     """f**e mod m by square and multiply."""
     if e < 0:
         raise ValueError("exponent must be nonnegative")
+    _require_polys(f, m)
     if m == 0:
         raise ZeroDivisionError("zero modulus")
     result = _mod_int(1, m)
@@ -86,6 +97,7 @@ def stretch(f: int, k: int) -> int:
     """Substitute x -> x**k, spreading coefficient i to position k*i."""
     if k < 1:
         raise ValueError("stretch factor must be positive")
+    _require_polys(f)
     n = f.bit_length()
     if k == 1 or n == 0:
         return f

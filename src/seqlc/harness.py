@@ -259,9 +259,17 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
     """Execute every grid point of every spec, through one pool when jobs > 1.
 
     Grids run in (r, s) order and regroup per spec in spec order, so results
-    do not depend on jobs.  wall_time_s runs from the previous campaign's
-    last point to this campaign's last point.
+    do not depend on jobs.  The pool takes the flat point list in contiguous
+    slices of ceil(points / (4 * jobs)), about four per worker: a slice may
+    cut across campaigns, and each one costs a round trip through the
+    executor's threads in this process.
+
+    wall_time_s runs from the previous campaign's last point to this
+    campaign's last point.  At jobs > 1 it is the gap between arrivals, so a
+    campaign that finishes inside another campaign's slice reads close to 0.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     bases_a, bases_b, sigmas, expectations = [], [], [], []
     for spec in specs:
         base_a = build_family(spec.family_a, spec.param, spec.variant_a)
@@ -273,8 +281,9 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
         expectations += [spec.expectation] * k
     columns = (bases_a, bases_b, sigmas, expectations)
     if jobs > 1:
+        chunk = max(1, math.ceil(len(sigmas) / (4 * jobs)))  # >= 1 even for no points
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return _regroup(specs, pool.map(_run_point, *columns, chunksize=8))
+            return _regroup(specs, pool.map(_run_point, *columns, chunksize=chunk))
     return _regroup(specs, map(_run_point, *columns))
 
 

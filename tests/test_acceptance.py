@@ -212,7 +212,7 @@ def test_criterion_10_optimal_autocorrelation():
                     values = set(pt.report.autocorr_values)
                     assert values <= {0, -4}, (res.spec.name, pt.r, pt.s, values)
                     checked += 1
-        assert checked > 2516  # the 516 theorem7 points count too
+        assert checked == 4356  # 60 + 103 + 5 + 1944 + 516 + 1728, in key order
 
 
 def test_criterion_11_polynomial_identities():
@@ -250,7 +250,7 @@ def test_criterion_12_two_adic_maximality():
                         continue
                     assert rep.two_adic_max, (res.spec.name, pt.r, pt.s)
                     checked += 1
-        assert checked > 3516  # the p = 283, n = 899 and theorem7 points count too
+        assert checked == 4356  # 60 + 103 + 5 + 1944 + 516 + 1728, in key order
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"{elapsed:.2f}s"
 

@@ -71,6 +71,11 @@ class TestMulMod:
         with pytest.raises(ZeroDivisionError):
             mul_mod(poly(1), poly(1), 0)
 
+    def test_rejects_negative(self):
+        # A negative int packs no polynomial; the division would not end.
+        with pytest.raises(ValueError):
+            mul_mod(3, -1, 7)
+
     def test_distributes_over_add(self):
         rng = random.Random(2)
         m = poly(13, 4, 0)
@@ -93,6 +98,10 @@ class TestGcd:
         assert gcd(poly(2, 0), poly(1, 0)) == poly(1, 0)
         # x^3 + 1 = (x+1)(x^2+x+1)
         assert gcd(poly(0, 1, 2), poly(3, 0)) == poly(0, 1, 2)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            gcd(5, -3)
 
     def test_agrees_with_reference(self):
         rng = random.Random(3)
@@ -159,6 +168,17 @@ def test_stretch():
     assert stretch(poly(0, 1, 2), 4) == poly(0, 4, 8)
     assert stretch(0, 3) == 0
     assert stretch(poly(2), 1) == poly(2)
+
+
+def test_stretch_rejects_negative():
+    with pytest.raises(ValueError):
+        stretch(-1, 2)
+
+
+def test_pow_mod_rejects_negative():
+    # The remainder of a negative modulus is not a polynomial either.
+    with pytest.raises(ValueError):
+        pow_mod(2, 3, -11)
 
 
 def test_pow_mod():

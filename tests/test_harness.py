@@ -12,6 +12,7 @@ from seqlc.harness import (
     build_family,
     emit_report,
     json_to_csv,
+    msequence_campaigns,
     named_campaigns,
     read_sequence,
     remarks_campaigns,
@@ -187,6 +188,45 @@ class TestRunCampaign:
         serial = run_campaigns(specs, jobs=1)
         assert [res.spec for res in parallel] == specs
         assert [res.points for res in parallel] == [res.points for res in serial]
+
+    def test_about_four_slices_per_worker(self, monkeypatch):
+        submits = []
+
+        class CountingPool(harness.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submits.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        # 102 points over 12 campaigns: 8-point chunks would make 13 slices.
+        specs = theorem5_campaigns() + msequence_campaigns(ls=(3, 4))
+        jobs = 2
+        parallel = run_campaigns(specs, jobs=jobs)
+        assert 1 < len(submits) <= 4 * jobs
+        serial = run_campaigns(specs, jobs=1)
+        assert [res.points for res in parallel] == [res.points for res in serial]
+
+    def test_empty_batch(self):
+        assert run_campaigns([], jobs=2) == []
+        assert run_campaigns([], jobs=1) == []
+
+    def test_one_point_campaign_in_parallel(self):
+        spec = CampaignSpec(
+            name="single",
+            family_a="legendre",
+            family_b="legendre-prime",
+            param=7,
+            grid=(GroupElement(3, 1),),
+            expectation=Expectation(lc_exact=16),
+        )
+        serial = run_campaigns([spec], jobs=1)[0]
+        parallel = run_campaigns([spec], jobs=2)[0]
+        assert parallel.passed and parallel.points == serial.points
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_campaigns([theorem5_p7()], jobs=jobs)
 
 
 class TestEmission:
