@@ -115,14 +115,16 @@ def _cmd_interleave(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.p is not None and args.l is not None:
+        raise ValueError("verify takes --p or --l, not both")
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs must be between 1 and {cpus}")
     specs = harness.named_campaigns(
         args.campaign, full_s=args.full_s, seed=args.seed
     )
-    if args.p is not None or args.l is not None:
-        wanted = args.p if args.p is not None else args.l
+    wanted = args.p if args.p is not None else args.l
+    if wanted is not None:
         specs = [s for s in specs if s.param == wanted]
         if not specs:
             raise ValueError(f"campaign {args.campaign} has no grid at that parameter")

@@ -56,7 +56,7 @@ CSV_HEADER = (
     "n,r,s,lc_direct,lc_bm,lc_formula,z_ab,z_sum,attains_max,two_adic_max"
 )
 _CSV_FIELDS = operator.itemgetter(*CSV_HEADER.split(","))
-_CSV_FLAGS = ("false", "true")
+_FLAGS = ("false", "true")  # a bool as the CSV and the JSON spell it
 
 # Largest period a family parameter or a sequence file may give.  The kernels
 # are O(N^2), and a pair's interleaving has N = 4 * period, so larger inputs
@@ -569,29 +569,67 @@ def _report_dict(report: LCReport) -> dict:
     }
 
 
+_REPORT_SCALARS = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(LCReport) if f.name != "autocorr_values")
+)
+
+
+def _json_array(items, indent: str) -> str:
+    """A JSON array of encoded items, one per line at indent, as indent=2 lays
+    it out; each item's own inner lines must already sit deeper."""
+    if not items:
+        return "[]"
+    sep = ",\n" + indent
+    return f"[\n{indent}{sep.join(items)}\n{indent[:-2]}]"
+
+
+def _nest(text: str, indent: str) -> str:
+    """An indent=2 dump moved to indent.  An encoded JSON string never holds
+    a raw newline, so every newline in text starts a line of the layout."""
+    return text.replace("\n", "\n" + indent)
+
+
 def results_to_json(results: list[CampaignResult]) -> str:
-    payload = {
-        "campaigns": [
-            {
-                "spec": res.spec.echo(),
-                "passed": res.passed,
-                "wall_time_s": round(res.wall_time_s, 6),
-                "points": [
-                    {
-                        "r": pt.r,
-                        "s": pt.s,
-                        "asserted": pt.asserted,
-                        "failures": list(pt.failures),
-                        "error": pt.error,
-                        "report": None if pt.report is None else _report_dict(pt.report),
-                    }
-                    for pt in res.points
-                ],
-            }
-            for res in results
-        ]
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The JSON report, exactly json.dumps(payload, indent=2) + "\\n" of
+
+        {"campaigns": [{"spec": spec.echo(), "passed", "wall_time_s" (rounded
+        to 6 places), "points": [{"r", "s", "asserted", "failures", "error",
+        "report": _report_dict(report) or None}]}]}
+
+    laid out from templates.  An indent makes json.dumps run its pure-Python
+    encoder, and nearly every pair of a grid has the same report as another,
+    so each distinct report is dumped once per call and reused.
+    """
+    dumps = json.dumps
+    reports = {}  # (scalar fields, sorted profile) -> dump at the point depth
+    campaigns = []
+    for res in results:
+        points = []
+        for pt in res.points:
+            rep = pt.report
+            if rep is None:
+                report = "null"
+            else:
+                key = (_REPORT_SCALARS(rep), tuple(sorted(rep.autocorr_values.items())))
+                report = reports.get(key)
+                if report is None:
+                    report = reports[key] = _nest(
+                        dumps(_report_dict(rep), indent=2), " " * 10
+                    )
+            points.append(
+                f'{{\n          "r": {pt.r},\n          "s": {pt.s},\n'
+                f'          "asserted": {_FLAGS[pt.asserted]},\n'
+                f'          "failures": {_json_array([dumps(f) for f in pt.failures], " " * 12)},\n'
+                f'          "error": {"null" if pt.error is None else dumps(pt.error)},\n'
+                f'          "report": {report}\n        }}'
+            )
+        campaigns.append(
+            f'{{\n      "spec": {_nest(dumps(res.spec.echo(), indent=2), " " * 6)},\n'
+            f'      "passed": {_FLAGS[res.passed]},\n'
+            f'      "wall_time_s": {dumps(round(res.wall_time_s, 6))},\n'
+            f'      "points": {_json_array(points, " " * 8)}\n    }}'
+        )
+    return f'{{\n  "campaigns": {_json_array(campaigns, " " * 4)}\n}}\n'
 
 
 def _csv(rows) -> str:
@@ -602,7 +640,7 @@ def _csv(rows) -> str:
         if type(attains) is not bool or type(two_adic) is not bool:
             raise TypeError("CSV flags must be booleans")
         lines.append(
-            ",".join([*map(str, numbers), _CSV_FLAGS[attains], _CSV_FLAGS[two_adic]])
+            ",".join([*map(str, numbers), _FLAGS[attains], _FLAGS[two_adic]])
         )
     return "\n".join(lines) + "\n"
 
@@ -618,7 +656,10 @@ def results_to_csv(results: list[CampaignResult]) -> str:
 
 def json_to_csv(text: str) -> str:
     """Convert emitted JSON back to the CSV schema (round-trip identity)."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:  # nested deeper than the decoder's stack
+        raise ValueError("not a seqlc JSON report") from None
     try:
         return _csv(
             {**pt["report"], **pt}

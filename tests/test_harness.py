@@ -363,6 +363,12 @@ class TestCli:
             (["report"], lambda: theorem5_p7_payload(attains_max=1), None),
             (["report"], lambda: theorem5_p7_payload(two_adic_max=0), None),
             (["report", "--format", "json"], "hello", None),
+            (["report"], "[" * 200000, "not a seqlc JSON report"),
+            (
+                ["verify", "msequence", "--p", "7", "--l", "3"],
+                None,
+                "verify takes --p or --l, not both",
+            ),
             (
                 ["gen", "m-sequence", "--l", "3", "--variant", "bogus"],
                 None,
@@ -379,6 +385,7 @@ class TestCli:
             "report-list", "report-campaigns-int", "report-campaign-int",
             "report-attains-max-2", "report-attains-max-minus-1",
             "report-attains-max-1", "report-two-adic-max-0", "report-json-not-a-report",
+            "report-nested-too-deep", "verify-p-and-l",
             "msequence-bad-variant", "msequence-not-primitive",
         ],
     )

@@ -5,18 +5,29 @@ the byte-per-bit view, the rotate-XOR-popcount kernel or the bit packing
 it checks.  Periods run from 1 to 200, with periods = 0 and = 3 (mod 4)
 drawn explicitly because is_optimal and is_ideal are defined only there.
 The halved correlation kernel's profile and Berlekamp-Massey are checked
-on periods drawn evenly from every residue mod 4.
+on periods drawn evenly from every residue mod 4.  The templated JSON report
+is checked against json.dumps(payload, indent=2) of the same results.
 """
 
+import dataclasses
+import json
 import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqlc.complexity import lc_berlekamp_massey
+from seqlc.complexity import LCReport, lc_berlekamp_massey
 from seqlc.f2poly import stretch
+from seqlc.harness import (
+    FAMILIES,
+    CampaignResult,
+    CampaignSpec,
+    Expectation,
+    PairResult,
+    results_to_json,
+)
 from seqlc.interleave import interleave4, is_optimal, tang_ding
 from seqlc.sequences import (
     BinarySeq,
@@ -213,3 +224,114 @@ class TestByteView:
             BinarySeq.from_string("")
         with pytest.raises(ValueError, match="period must be at least 1"):
             BinarySeq.from_bits([])
+
+
+# Text that needs escaping: quotes, backslashes, control characters, a line
+# separator, and non-ASCII within and beyond the BMP.
+awkward_text = st.text(
+    st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\u2028", "é", "😀", "a", " "]),
+    max_size=8,
+) | st.text(max_size=8)
+small_ints = st.integers(-(10**6), 10**6)
+
+profiles = st.dictionaries(small_ints, small_ints, max_size=4)
+lc_reports = st.builds(
+    LCReport,
+    n=small_ints, lc_direct=small_ints, lc_bm=small_ints, lc_formula=small_ints,
+    z_ab=small_ints, z_sum=small_ints, attains_max=st.booleans(),
+    autocorr_values=profiles, two_adic_max=st.booleans(),
+)
+
+specs = st.builds(
+    CampaignSpec,
+    name=awkward_text,
+    family_a=st.sampled_from(FAMILIES),
+    family_b=st.sampled_from(FAMILIES),
+    param=small_ints,
+    grid=st.lists(
+        st.builds(GroupElement, st.integers(0, 99), st.integers(1, 99)),
+        min_size=1, max_size=3,
+    ).map(tuple),
+    expectation=st.none() | st.builds(
+        Expectation,
+        lc_exact=st.none() | small_ints,
+        lc_below=st.none() | small_ints,
+        optimal_autocorr=st.booleans(),
+        two_adic_max=st.none() | st.booleans(),
+    ),
+    param_b=st.none() | small_ints,
+    variant_a=st.none() | awkward_text,
+    variant_b=st.none() | awkward_text,
+)
+
+
+@st.composite
+def campaign_results(draw):
+    """A campaign whose points have no report or one of a few near-equal
+    ones: a base report, the same content with the profile in another order,
+    another profile, and the other two_adic_max."""
+    base = draw(lc_reports)
+    variants = [
+        base,
+        dataclasses.replace(
+            base, autocorr_values=dict(reversed(base.autocorr_values.items()))
+        ),
+        dataclasses.replace(base, autocorr_values=draw(profiles)),
+        dataclasses.replace(base, two_adic_max=not base.two_adic_max),
+    ]
+    point = st.builds(
+        PairResult,
+        r=small_ints,
+        s=small_ints,
+        asserted=st.booleans(),
+        report=st.none() | st.sampled_from(variants),
+        failures=st.lists(awkward_text, max_size=3).map(tuple),
+        error=st.none() | awkward_text,
+    )
+    return CampaignResult(
+        spec=draw(specs),
+        points=tuple(draw(st.lists(point, max_size=6))),
+        passed=draw(st.booleans()),
+        wall_time_s=draw(
+            st.sampled_from([0.0, 1e-7, 1234.5]) | st.floats(0, 1e6, allow_nan=False)
+        ),
+    )
+
+
+def indent2_dump(results):
+    """The JSON report as one json.dumps(indent=2) of the whole payload."""
+    payload = {
+        "campaigns": [
+            {
+                "spec": res.spec.echo(),
+                "passed": res.passed,
+                "wall_time_s": round(res.wall_time_s, 6),
+                "points": [
+                    {
+                        "r": pt.r,
+                        "s": pt.s,
+                        "asserted": pt.asserted,
+                        "failures": list(pt.failures),
+                        "error": pt.error,
+                        "report": None if pt.report is None else {
+                            **vars(pt.report),
+                            "autocorr_values": {
+                                str(v): pt.report.autocorr_values[v]
+                                for v in sorted(pt.report.autocorr_values)
+                            },
+                        },
+                    }
+                    for pt in res.points
+                ],
+            }
+            for res in results
+        ]
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestJsonReport:
+    @given(st.lists(campaign_results(), max_size=4))
+    @example([])
+    def test_matches_indent2_dump(self, results):
+        assert results_to_json(results) == indent2_dump(results)
