@@ -44,6 +44,11 @@ from .sequences import (
     is_ideal,
 )
 
+# Longest input `report` reads, in characters.  The largest report verify
+# writes, `verify all --full-s` as JSON, is about 45 MB.
+MAX_REPORT_CHARS = 2**26
+
+
 def _out(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -141,7 +146,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     with open(args.input, "r", encoding="ascii") as fh:
-        text = fh.read()
+        text = fh.read(MAX_REPORT_CHARS + 1)  # one too many tells a longer file
+    if len(text) > MAX_REPORT_CHARS:
+        raise ValueError(
+            f"{args.input}: report longer than the ceiling {MAX_REPORT_CHARS} characters"
+        )
     csv = harness.json_to_csv(text)  # rejects a non-report in either format
     _out(csv if args.format == "csv" else text, args.out)
     return 0

@@ -70,9 +70,16 @@ def lc_berlekamp_massey(a: BinarySeq) -> int:
 def z_set_sizes(a: BinarySeq, b: BinarySeq) -> tuple[int, int]:
     """(z_ab, z_sum): counts of common zeros among the nontrivial n-th roots of unity.
 
-    z_ab = deg gcd(S_a, S_b, 1 + ... + x^(n-1)) counts zeros shared by both
-    sequences; z_sum = deg gcd(S_a + S_b, 1 + ... + x^(n-1)) counts zeros of
-    the sum.  x^n - 1 is squarefree for odd n, so degrees equal set sizes.
+    z_ab = deg gcd(S_a, S_b, u) counts zeros shared by both sequences and
+    z_sum = deg gcd(S_a + S_b, u) zeros of the sum, u = 1 + ... + x^(n-1).
+    x^n - 1 is squarefree for odd n, so degrees equal set sizes.
+
+    z_sum's gcd runs first and z_ab is read from it by the Euclidean identity
+
+        gcd(S_a, S_b, u) = gcd(S_a, S_a + S_b, u) = gcd(gcd(S_a + S_b, u), S_a),
+
+    which holds for any polynomials.  So z_ab <= z_sum by construction, and
+    when z_sum = 0 the second gcd has divisor 1 and costs nothing.
     """
     n = a.period
     if b.period != n:
@@ -80,9 +87,8 @@ def z_set_sizes(a: BinarySeq, b: BinarySeq) -> tuple[int, int]:
     if n % 2 == 0:
         raise ValueError("period must be odd")
     u = (1 << n) - 1
-    z_ab = gcd(gcd(a.mask, b.mask), u).bit_length() - 1
-    z_sum = gcd(a.mask ^ b.mask, u).bit_length() - 1
-    return z_ab, z_sum
+    g_sum = gcd(a.mask ^ b.mask, u)
+    return gcd(a.mask, g_sum).bit_length() - 1, g_sum.bit_length() - 1
 
 
 def lemma1_poly(a: BinarySeq, b: BinarySeq) -> int:

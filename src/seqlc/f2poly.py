@@ -8,9 +8,10 @@ nonzero f is f.bit_length() - 1, and addition is XOR.
 Nonzero polynomials over GF(2) are automatically monic, so gcds need no
 normalization.  Multiplication is schoolbook with word-level shifts;
 degrees stay around 4n (a few thousand) at desk scale, where this is
-faster than any asymptotically clever scheme would pay for.  Reduction is
-one remainder-only long division, _mod_int, shared by gcd, mul_mod and
-pow_mod; no caller needs a quotient, so none is built.
+faster than any asymptotically clever scheme would pay for.  No caller
+needs a quotient, so none is built: mul_mod and pow_mod reduce through one
+remainder-only long division, _mod_int, and gcd runs the same shift-XOR
+reduction inline as one Euclid loop, with no call per step.
 
 Bit-level rearrangements (spreading, interleaving, sampling, text and
 tuple conversion) all go through one byte-per-bit view of a mask,
@@ -69,11 +70,19 @@ def mul_mod(f: int, g: int, m: int) -> int:
 
 
 def gcd(f: int, g: int) -> int:
-    """Greatest common divisor; gcd(0, g) = g and gcd(0, 0) = 0."""
+    """Greatest common divisor; gcd(0, g) = g and gcd(0, 0) = 0.
+
+    Euclid in one loop: reduce f by shifted copies of g until its degree
+    drops below g's, then swap.  A divisor of 1 ends the loop at once, so a
+    coprime pair never pays for reducing f mod 1.
+    """
     _require_polys(f, g)
-    while g:
-        f, g = g, _mod_int(f, g)
-    return f
+    while g > 1:
+        dg = g.bit_length()
+        while (shift := f.bit_length() - dg) >= 0:
+            f ^= g << shift
+        f, g = g, f
+    return 1 if g else f
 
 
 def pow_mod(f: int, e: int, m: int) -> int:

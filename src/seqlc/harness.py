@@ -233,7 +233,8 @@ def _run_point(base_a, base_b, sigma, expectation):
     except ValueError as exc:  # a rejected point is a row; anything else is a defect
         return PairResult(
             r=sigma.r, s=sigma.s, asserted=expectation is not None,
-            report=None, failures=("construction error",), error=str(exc),
+            report=None, failures=("construction error",),
+            error=f"{type(exc).__name__}: {exc}",
         )
     failures = list(report.consistency_failures())
     if expectation is not None:

@@ -19,7 +19,18 @@ from __future__ import annotations
 
 from .f2poly import _bit_view, _view_mask
 from .numtheory import mod_inverse
-from .sequences import BinarySeq, _xor_weights, complement, shift
+from .sequences import BinarySeq, _xor_weights
+
+# Complement of a byte-per-bit view.
+_FLIP = bytes.maketrans(b"01", b"10")
+
+
+def _lay4(views, n: int) -> BinarySeq:
+    """The period-4n sequence whose column k is the k-th of four n-byte views."""
+    view = bytearray(4 * n)
+    for k, column in enumerate(views):
+        view[k::4] = column
+    return BinarySeq(_view_mask(view), 4 * n)
 
 
 def interleave4(A: BinarySeq, B: BinarySeq, C: BinarySeq, D: BinarySeq) -> BinarySeq:
@@ -27,21 +38,25 @@ def interleave4(A: BinarySeq, B: BinarySeq, C: BinarySeq, D: BinarySeq) -> Binar
     n = A.period
     if not (B.period == C.period == D.period == n):
         raise ValueError("all four sequences must share one period")
-    view = bytearray(4 * n)
-    for k, column in enumerate((A, B, C, D)):
-        view[k::4] = _bit_view(column.mask, n)
-    return BinarySeq(_view_mask(view), 4 * n)
+    return _lay4([_bit_view(column.mask, n) for column in (A, B, C, D)], n)
 
 
 def tang_ding(a: BinarySeq, b: BinarySeq) -> BinarySeq:
-    """The period-4n interleaving w(a, b) of two period-n sequences, n = 3 mod 4."""
+    """The period-4n interleaving w(a, b) of two period-n sequences, n = 3 mod 4.
+
+    Built from one byte view of a and one of b: L^r is the rotated slice
+    v[r:] + v[:r], and the complement a byte translation.
+    """
     n = a.period
     if b.period != n:
         raise ValueError("a and b must share one period")
     if n % 4 != 3:
         raise ValueError(f"period must be 3 mod 4, got {n}")
     m = (n + 1) // 4
-    return interleave4(a, shift(b, m), shift(a, 2 * m), shift(complement(b), 3 * m))
+    va, vb = _bit_view(a.mask, n), _bit_view(b.mask, n)
+    vc = vb.translate(_FLIP)
+    columns = (va, vb[m:] + vb[:m], va[2 * m:] + va[:2 * m], vc[3 * m:] + vc[:3 * m])
+    return _lay4(columns, n)
 
 
 def crt_component(w: BinarySeq, i: int) -> int:

@@ -1,9 +1,10 @@
+import io
 import json
 import os
 
 import pytest
 
-from seqlc import harness
+from seqlc import cli, harness
 from seqlc.cli import main
 from seqlc.harness import (
     CSV_HEADER,
@@ -144,7 +145,7 @@ class TestRunCampaign:
         assert not res.passed
         good, bad = res.points
         assert good.passed and good.report.lc_formula == 16
-        assert bad.error is not None and bad.report is None
+        assert bad.error.startswith("ValueError: ") and bad.report is None
 
     def test_defects_propagate(self, monkeypatch):
         # Only a ValueError marks a rejected point; anything else is a bug.
@@ -436,6 +437,29 @@ class TestCli:
             f"error: {over}: sequence longer than the period ceiling "
             f"{harness.MAX_PERIOD}\n"
         )
+
+    def test_report_ceiling(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "r.json"
+        text = results_to_json([run_campaigns([theorem5_p7()])[0]])
+        src.write_text(text)
+        size = len(text)
+        monkeypatch.setattr(cli, "MAX_REPORT_CHARS", size)
+        assert main(["report", str(src), "--format", "csv"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "MAX_REPORT_CHARS", size - 1)
+        sizes = []  # what the reader asks for bounds its memory, not the file
+
+        class Recorder(io.StringIO):
+            def read(self, n=-1):
+                sizes.append(n)
+                return super().read(n)
+
+        monkeypatch.setattr(cli, "open", lambda *a, **k: Recorder(text), raising=False)
+        assert main(["report", str(src), "--format", "csv"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: report longer than the ceiling {size - 1} characters\n"
+        )
+        assert sizes == [size]
 
     def test_interleave_and_lc(self, tmp_path, capsys):
         pa = tmp_path / "a.txt"

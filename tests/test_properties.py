@@ -6,7 +6,9 @@ it checks.  Periods run from 1 to 200, with periods = 0 and = 3 (mod 4)
 drawn explicitly because is_optimal and is_ideal are defined only there.
 The halved correlation kernel's profile and Berlekamp-Massey are checked
 on periods drawn evenly from every residue mod 4.  The templated JSON report
-is checked against json.dumps(payload, indent=2) of the same results.
+is checked against json.dumps(payload, indent=2) of the same results.  The
+one-loop gcd, the z-set sizes read from one gcd and the one-view w(a, b) are
+checked against their earlier definitions, kept here as references.
 """
 
 import dataclasses
@@ -18,8 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqlc.complexity import LCReport, lc_berlekamp_massey
-from seqlc.f2poly import stretch
+from seqlc.complexity import LCReport, lc_berlekamp_massey, z_set_sizes
+from seqlc.f2poly import _mod_int, _mul_int, gcd, mul_mod, stretch
 from seqlc.harness import (
     FAMILIES,
     CampaignResult,
@@ -28,7 +30,7 @@ from seqlc.harness import (
     PairResult,
     results_to_json,
 )
-from seqlc.interleave import interleave4, is_optimal, tang_ding
+from seqlc.interleave import crt_component, interleave4, is_optimal, tang_ding
 from seqlc.sequences import (
     BinarySeq,
     GroupElement,
@@ -40,6 +42,7 @@ from seqlc.sequences import (
     legendre_seq,
     m_sequence,
     sample,
+    shift,
     twin_prime_seq,
 )
 from test_complexity import list_berlekamp_massey
@@ -169,6 +172,74 @@ class TestBerlekampMassey:
     def test_window_ends(self, text, lc):
         bits = [int(c) for c in text]
         assert lc_berlekamp_massey(seq(bits)) == list_berlekamp_massey(bits * 2) == lc
+
+
+def euclid_gcd(f, g):
+    """gcd as one _mod_int call per Euclid step."""
+    while g:
+        f, g = g, _mod_int(f, g)
+    return f
+
+
+def three_gcd_z_sets(a, b):
+    """(z_ab, z_sum) as deg gcd(gcd(S_a, S_b), u) and deg gcd(S_a + S_b, u)."""
+    u = (1 << a.period) - 1
+    z_ab = euclid_gcd(euclid_gcd(a.mask, b.mask), u).bit_length() - 1
+    return z_ab, euclid_gcd(a.mask ^ b.mask, u).bit_length() - 1
+
+
+polys = st.integers(0, 2**300 - 1)
+
+
+class TestPairPathAgainstOldDefinitions:
+    @given(polys, polys)
+    @example(0, 0)
+    @example(0, 1)
+    @example(1, 0)
+    @example(1, 1)
+    @example(0b1011, 0b1011)
+    @example(2**299 + 1, 2**299 + 1)
+    def test_gcd(self, f, g):
+        assert gcd(f, g) == euclid_gcd(f, g)
+
+    @given(polys, st.integers(1, 2**40 - 1))
+    @example(1, 1)
+    @example(0b111, 0b11)  # (1 + x + x^2)(1 + x)
+    def test_gcd_when_one_divides_the_other(self, f, h):
+        multiple = _mul_int(f, h)
+        assert gcd(multiple, f) == euclid_gcd(multiple, f) == f
+        assert gcd(f, multiple) == euclid_gcd(f, multiple) == f
+
+    @given(polys)
+    def test_gcd_with_one(self, f):
+        assert gcd(f, 1) == gcd(1, f) == 1
+
+    @pytest.mark.parametrize("f, g", [(-3, 5), (-1, 1), (1, -1), (0, -1)])
+    def test_gcd_rejects_negative(self, f, g):
+        with pytest.raises(ValueError):
+            gcd(f, g)
+
+    @given(st.data())
+    def test_z_set_sizes(self, data):
+        n = data.draw(st.integers(0, (MAX_N - 1) // 2).map(lambda k: 2 * k + 1))
+        a, b = (seq(data.draw(bit_lists(st.just(n)))) for _ in range(2))
+        if data.draw(st.booleans()):  # a common factor of u, so that z_ab > 0 occurs
+            k = data.draw(st.sampled_from([k for k in range(1, n + 1) if n % k == 0]))
+            c = stretch((1 << n // k) - 1, k)  # (x^n - 1) / (x^k - 1)
+            a, b = (BinarySeq(mul_mod(x.mask, c, (1 << n) | 1), n) for x in (a, b))
+        z_ab, z_sum = z_set_sizes(a, b)
+        assert (z_ab, z_sum) == three_gcd_z_sets(a, b)
+        assert z_ab <= z_sum
+
+    @given(st.data())
+    def test_tang_ding(self, data):
+        n = data.draw(st.integers(0, (MAX_N - 3) // 4).map(lambda k: 4 * k + 3))
+        a, b = (seq(data.draw(bit_lists(st.just(n)))) for _ in range(2))
+        m = (n + 1) // 4
+        w = tang_ding(a, b)
+        columns = (a, shift(b, m), shift(a, 2 * m), shift(complement(b), 3 * m))
+        assert w == interleave4(*columns)
+        assert list(w.bits) == [crt_component(w, i) for i in range(4 * n)]
 
 
 class TestByteView:
