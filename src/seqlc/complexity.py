@@ -30,7 +30,13 @@ from typing import Literal
 from .f2poly import gcd, mul_mod, stretch
 from .interleave import tang_ding
 from .numtheory import is_prime
-from .sequences import BinarySeq, autocorrelation_profile, is_ideal
+from .sequences import (
+    BinarySeq,
+    GroupElement,
+    apply_group,
+    autocorrelation_profile,
+    is_ideal,
+)
 
 
 def lc_gcd(a: BinarySeq) -> int:
@@ -184,14 +190,22 @@ class LCReport:
         return bad
 
 
-def analyze_pair(a: BinarySeq, b: BinarySeq) -> LCReport:
-    """Build w(a, b) and measure it every way the report records.
+def analyze_pair(
+    a: BinarySeq, b: BinarySeq, sigma: GroupElement | None = None
+) -> LCReport:
+    """Build w(a, b), or w(a, sigma(b)), and measure it every way the report records.
 
     Runs all three linear-complexity routes, the z-set sizes, the full
     autocorrelation profile and the 2-adic maximality verdict.  Both inputs
     must have ideal autocorrelation, the only case the closed form is
     proved for, so other inputs are rejected rather than given a number.
+
+    The check reads b, not sigma(b): A of L^r M_s(b) at tau is A_b(s tau),
+    and tau -> s tau permutes the nonzero shifts, so the verdict is b's and
+    is_ideal's cache answers it once per base.  sigma is applied first, so
+    a sample index not coprime to the period is the error reported.
     """
+    b_sigma = b if sigma is None else apply_group(b, sigma)
     if a.period != b.period:
         raise ValueError("sequences must share one period")
     if not is_ideal(a) or not is_ideal(b):
@@ -200,8 +214,8 @@ def analyze_pair(a: BinarySeq, b: BinarySeq) -> LCReport:
             "ideal autocorrelation"
         )
     n = a.period
-    z_ab, z_sum = z_set_sizes(a, b)
-    w = tang_ding(a, b)
+    z_ab, z_sum = z_set_sizes(a, b_sigma)
+    w = tang_ding(a, b_sigma)
     return LCReport(
         n=n,
         lc_direct=lc_gcd(w),

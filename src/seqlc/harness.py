@@ -34,7 +34,6 @@ from .numtheory import legendre_symbol
 from .sequences import (
     BinarySeq,
     GroupElement,
-    apply_group,
     hall_construction,
     hall_seq,
     legendre_seq,
@@ -228,8 +227,7 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
 
 def _run_point(base_a, base_b, sigma, expectation):
     try:
-        b = apply_group(base_b, sigma)
-        report = analyze_pair(base_a, b)
+        report = analyze_pair(base_a, base_b, sigma)
     except ValueError as exc:  # a rejected point is a row; anything else is a defect
         return PairResult(
             r=sigma.r, s=sigma.s, asserted=expectation is not None,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .f2poly import _bit_view, _view_mask
 from .numtheory import mod_inverse
-from .sequences import BinarySeq, _xor_weights
+from .sequences import BinarySeq, _and_counts
 
 # Complement of a byte-per-bit view.
 _FLIP = bytes.maketrans(b"01", b"10")
@@ -85,10 +85,11 @@ def is_optimal(w: BinarySeq) -> bool:
     """True iff every nonzero shift has autocorrelation 0 or -4.
 
     Defined for periods divisible by 4, the residue class where {0, -4}
-    is the best achievable value set.
+    is the best achievable value set.  Reads the full histogram, with no
+    exit at the first bad shift.
     """
     N = w.period
     if N % 4 != 0:
         raise ValueError(f"optimal autocorrelation needs period = 0 mod 4, got {N}")
-    allowed = (N // 2, N // 2 + 2)  # XOR weights giving A = 0 and A = -4
-    return all(weight in allowed for weight in _xor_weights(w))
+    c = w.weight - N // 4  # AND weight giving A = 0; one less gives A = -4
+    return c >= 0 and sum(_and_counts(w)[max(c - 1, 0):c + 1]) == N // 2

@@ -1,9 +1,11 @@
 """Periodic binary sequence generators and transforms.
 
 A BinarySeq stores one period bit-packed into an integer (bit i = a_i),
-so complement, cyclic shift and autocorrelation reduce to integer XOR,
-rotation and popcount.  Sequences compare as exact periodic bit vectors;
-no cyclic-equivalence quotient is applied implicitly.
+so complement and cyclic shift reduce to integer XOR and rotation.  The
+autocorrelation verdicts and profile read one histogram: for each shift
+tau up to N/2, the popcount of a AND L^tau(a), a right shift of the
+two-period int (see _and_counts).  Sequences compare as exact periodic bit
+vectors; no cyclic-equivalence quotient is applied implicitly.
 
 Generators cover the classical ideal-autocorrelation families:
 
@@ -23,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Literal
 
 from .f2poly import _bit_view, _view_mask, pow_mod
@@ -174,30 +177,34 @@ def autocorrelation(a: BinarySeq, tau: int) -> int:
     return a.period - 2 * (a.mask ^ shift(a, tau).mask).bit_count()
 
 
-def _xor_weights(a: BinarySeq) -> Iterator[int]:
-    """Weight of a XOR L^tau(a) for tau = 1 .. N//2; A(tau) is N minus twice it.
+def _and_counts(a: BinarySeq) -> list[int]:
+    """counts[c]: how many shifts tau = 1 .. N//2 have |a AND L^tau(a)| = c.
 
-    The halved correlation kernel: A(tau) = A(N - tau) for every periodic
-    sequence, so the shifts above N/2 repeat these and are not computed.
-    A generator, so that verdicts consuming it through all() stop at the
-    first bad shift.
+    The one correlation kernel: |a XOR L^tau(a)| = 2|a| - 2c, so
+    A(tau) = N - 4|a| + 4c.  The shifts above N/2 repeat these, since
+    A(tau) = A(N - tau).  L^tau(a) is the two-period int shifted right by
+    tau, cut at bit N + N//2, above which no shift up to N/2 reads; the AND
+    with a drops the rest of the rotation.  The histogram is always built
+    whole, so the verdicts have no early exit on a bad shift;
+    harness.MAX_PERIOD bounds what a rejected input costs.
     """
     n, m = a.period, a.mask
-    full, twice = (1 << n) - 1, m | (m << n)  # two periods: L^tau is one shift
+    span = (m | m << n) & ((1 << (n + n // 2)) - 1)
+    counts = [0] * (m.bit_count() + 1)
     for tau in range(1, n // 2 + 1):
-        yield (m ^ ((twice >> tau) & full)).bit_count()
+        counts[(m & (span >> tau)).bit_count()] += 1
+    return counts
 
 
 def autocorrelation_profile(a: BinarySeq) -> dict[int, int]:
     """Multiset {value: count} of autocorrelations over all nonzero shifts."""
-    n = a.period
-    counts: dict[int, int] = {}
-    for weight in _xor_weights(a):
-        v = n - 2 * weight
-        counts[v] = counts.get(v, 0) + 2  # tau and N - tau
+    n, base = a.period, a.period - 4 * a.weight
+    counts = _and_counts(a)
+    # compress skips the zero counts in C; each count stands for tau and N - tau.
+    profile = {base + 4 * c: 2 * counts[c] for c in compress(range(len(counts)), counts)}
     if n % 2 == 0:  # the last shift, tau = N/2, is its own mirror
-        counts[v] -= 1
-    return counts
+        profile[base + 4 * (a.mask & shift(a, n // 2).mask).bit_count()] -= 1
+    return profile
 
 
 @functools.lru_cache(maxsize=8192)
@@ -205,13 +212,16 @@ def is_ideal(a: BinarySeq) -> bool:
     """True iff every nonzero shift has autocorrelation exactly -1.
 
     Defined only for period = 3 (mod 4), the only residue class where the
-    value -1 at every shift is arithmetically possible.
+    value -1 at every shift is arithmetically possible.  Invariant under
+    L^r M_s and complementation, so analyze_pair asks it of the base
+    sequences only.  Reads the full histogram, with no exit at the first
+    bad shift.
     """
     n = a.period
     if n % 4 != 3:
         raise ValueError(f"ideal autocorrelation needs period = 3 mod 4, got {n}")
-    target = (n + 1) // 2  # A(tau) = -1 iff the XOR weight is (n+1)/2
-    return all(weight == target for weight in _xor_weights(a))
+    c = a.weight - (n + 1) // 4  # A(tau) = -1 iff the AND weight is c
+    return c >= 0 and _and_counts(a)[c] == n // 2
 
 
 # ---------------------------------------------------------------------------

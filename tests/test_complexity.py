@@ -17,7 +17,7 @@ from seqlc.complexity import (
     two_adic_max,
     z_set_sizes,
 )
-from seqlc.f2poly import mul_mod, stretch
+from seqlc.f2poly import gcd, mul_mod, stretch
 from seqlc.interleave import tang_ding
 from seqlc.sequences import (
     BinarySeq,
@@ -152,13 +152,16 @@ class TestZSetSizes:
             z_set_sizes(BinarySeq.zeros(4), BinarySeq.zeros(4))
 
     def test_subset_relation(self):
+        # z_ab is read from z_sum's gcd, so check both against the definition.
         rng = random.Random(3)
         for _ in range(100):
             n = rng.choice([3, 7, 9, 11, 15])
             a = BinarySeq(rng.getrandbits(n), n)
             b = BinarySeq(rng.getrandbits(n), n)
-            z_ab, z_sum = z_set_sizes(a, b)
-            assert z_ab <= z_sum
+            u = (1 << n) - 1
+            z_ab = gcd(gcd(a.mask, b.mask), u).bit_length() - 1
+            z_sum = gcd(a.mask ^ b.mask, u).bit_length() - 1
+            assert z_set_sizes(a, b) == (z_ab, z_sum)
 
 
 class TestInterleavedFormula:
@@ -186,6 +189,25 @@ class TestInterleavedFormula:
             analyze_pair(good, bad)
         with pytest.raises(ValueError):
             analyze_pair(bad, good)
+
+    def test_sigma_keeps_error_text(self):
+        # The check on the base b reports what the check on sigma(b) did.
+        def error_of(call):
+            with pytest.raises(ValueError) as info:
+                call()
+            return f"{info.type.__name__}: {info.value}"
+
+        good = legendre_seq(7)
+        bad = BinarySeq.from_bits([1, 0, 0, 0, 0, 0, 0])
+        for a, b, g in [
+            (good, legendre_seq(7, "ell_prime"), GroupElement(1, 7)),  # s not coprime
+            (good, bad, GroupElement(2, 3)),  # non-ideal base
+            (bad, good, GroupElement(2, 3)),
+            (good, legendre_seq(11), GroupElement(1, 3)),  # mismatched periods
+        ]:
+            assert error_of(lambda: analyze_pair(a, b, g)) == error_of(
+                lambda: analyze_pair(a, apply_group(b, g))
+            )
 
     def test_agreement_with_direct(self):
         rng = random.Random(4)

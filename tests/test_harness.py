@@ -24,7 +24,7 @@ from seqlc.harness import (
     theorem6_campaigns,
     theorem7_campaigns,
 )
-from seqlc.sequences import GroupElement, legendre_seq, m_sequence
+from seqlc.sequences import GroupElement, is_ideal, legendre_seq, m_sequence
 
 
 def _must_not_build(*args, **kwargs):
@@ -149,12 +149,33 @@ class TestRunCampaign:
 
     def test_defects_propagate(self, monkeypatch):
         # Only a ValueError marks a rejected point; anything else is a bug.
-        def broken(a, b):
+        def broken(*args):
             raise RuntimeError("defect")
 
         monkeypatch.setattr(harness, "analyze_pair", broken)
         with pytest.raises(RuntimeError, match="defect"):
             run_campaigns([theorem5_p7()], jobs=1)
+
+    @pytest.mark.parametrize(
+        "family_b, bases", [("legendre-prime", 2), ("legendre", 1)]
+    )
+    def test_one_ideal_check_per_base(self, family_b, bases):
+        # is_ideal reads the untransformed b, so every point after the first
+        # is answered from the cache whatever its (r, s).
+        grid = tuple(GroupElement(r, s) for r in range(7) for s in range(1, 7))
+        spec = CampaignSpec(
+            name="every-unit",
+            family_a="legendre",
+            family_b=family_b,
+            param=7,
+            grid=grid,
+            expectation=None,
+        )
+        is_ideal.cache_clear()
+        run_campaigns([spec], jobs=1)
+        info = is_ideal.cache_info()
+        assert info.misses == bases
+        assert info.hits == 2 * len(grid) - bases
 
     def test_grid_must_be_nonempty(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,16 @@
 """Property tests of the bit-packed paths against list-based references.
 
 Each reference below works on plain lists of 0/1 and shares no code with
-the byte-per-bit view, the rotate-XOR-popcount kernel or the bit packing
+the byte-per-bit view, the AND-count histogram kernel or the bit packing
 it checks.  Periods run from 1 to 200, with periods = 0 and = 3 (mod 4)
 drawn explicitly because is_optimal and is_ideal are defined only there.
 The halved correlation kernel's profile and Berlekamp-Massey are checked
 on periods drawn evenly from every residue mod 4.  The templated JSON report
 is checked against json.dumps(payload, indent=2) of the same results.  The
 one-loop gcd, the z-set sizes read from one gcd and the one-view w(a, b) are
-checked against their earlier definitions, kept here as references.
+checked against their earlier definitions, kept here as references.  The
+ideal-autocorrelation check that analyze_pair makes on the base sequence,
+before sigma is applied, is checked against the check on sigma(b).
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqlc.complexity import LCReport, lc_berlekamp_massey, z_set_sizes
+from seqlc.complexity import LCReport, analyze_pair, lc_berlekamp_massey, z_set_sizes
 from seqlc.f2poly import _mod_int, _mul_int, gcd, mul_mod, stretch
 from seqlc.harness import (
     FAMILIES,
@@ -34,6 +36,7 @@ from seqlc.interleave import crt_component, interleave4, is_optimal, tang_ding
 from seqlc.sequences import (
     BinarySeq,
     GroupElement,
+    _and_counts,
     apply_group,
     autocorrelation,
     autocorrelation_profile,
@@ -100,12 +103,17 @@ IDEAL_BASES = (
 
 
 @st.composite
+def units(draw, n):
+    """A group element L^r M_s of period n: any shift r, any unit s."""
+    s = draw(st.integers(1, n).filter(lambda s: math.gcd(s, n) == 1))
+    return GroupElement(draw(st.integers(0, n - 1)), s)
+
+
+@st.composite
 def ideal_seqs(draw, period=None):
     bases = [b for b in IDEAL_BASES if period is None or b.period == period]
     a = draw(st.sampled_from(bases))
-    n = a.period
-    s = draw(st.integers(1, n).filter(lambda s: math.gcd(s, n) == 1))
-    a = apply_group(a, GroupElement(draw(st.integers(0, n - 1)), s))
+    a = apply_group(a, draw(units(a.period)))
     return complement(a) if draw(st.booleans()) else a
 
 
@@ -117,6 +125,15 @@ class TestCorrelationKernel:
     @given(bit_lists(), st.integers(-2 * MAX_N, 2 * MAX_N))
     def test_autocorrelation(self, bits, tau):
         assert autocorrelation(seq(bits), tau) == ref_autocorr(bits, tau)
+
+    @given(bit_lists(every_residue))
+    def test_and_counts(self, bits):
+        n, ones = len(bits), sum(bits)
+        ref = Counter(
+            sum(bits[i] & bits[(i + tau) % n] for i in range(n))
+            for tau in range(1, n // 2 + 1)
+        )
+        assert _and_counts(seq(bits)) == [ref[c] for c in range(ones + 1)]
 
     @given(bit_lists(every_residue))
     def test_profile(self, bits):
@@ -156,6 +173,30 @@ class TestCorrelationKernel:
         assert is_optimal(w) and set(ref_profile(list(w.bits))) <= {0, -4}
         v = flip(w, data.draw(st.integers(0, 4 * MAX_N)))
         assert is_optimal(v) == (set(ref_profile(list(v.bits))) <= {0, -4})
+
+
+class TestBaseLevelCheck:
+    """analyze_pair checks is_ideal on b and reports on sigma(b)."""
+
+    @given(st.data())
+    def test_is_ideal_invariant_on_random_sequences(self, data):
+        x = seq(data.draw(bit_lists(periods.filter(lambda n: n % 4 == 3))))
+        g = data.draw(units(x.period))
+        assert is_ideal.__wrapped__(apply_group(x, g)) == is_ideal.__wrapped__(x)
+
+    @settings(max_examples=25)  # each example checks every base
+    @given(st.data())
+    def test_is_ideal_invariant_on_ideal_families(self, data):
+        for x in IDEAL_BASES:
+            assert is_ideal.__wrapped__(apply_group(x, data.draw(units(x.period))))
+
+    @settings(max_examples=30)  # each example analyzes two pairs at n up to 199
+    @given(st.data())
+    def test_sigma_equals_transformed_b(self, data):
+        a = data.draw(st.sampled_from(IDEAL_BASES))
+        b = data.draw(st.sampled_from([x for x in IDEAL_BASES if x.period == a.period]))
+        g = data.draw(units(a.period))
+        assert analyze_pair(a, b, g) == analyze_pair(a, apply_group(b, g))
 
 
 class TestBerlekampMassey:
