@@ -25,9 +25,8 @@ import math
 import operator
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice, repeat
 
 from .complexity import LCReport, analyze_pair
 from .numtheory import legendre_symbol
@@ -225,7 +224,14 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
     raise ValueError(f"unknown family {family!r}")
 
 
-def _run_point(base_a, base_b, sigma, expectation):
+_REPORT_SCALARS = operator.attrgetter(
+    *(f.name for f in dataclasses.fields(LCReport) if f.name != "autocorr_values")
+)
+
+
+def _run_point(base_a, base_b, sigma, expectation, reports):
+    """One grid point.  Its report is interned in reports, keyed by content,
+    so every point of a run or slice with an equal report shares one object."""
     try:
         report = analyze_pair(base_a, base_b, sigma)
     except ValueError as exc:  # a rejected point is a row; anything else is a defect
@@ -234,6 +240,8 @@ def _run_point(base_a, base_b, sigma, expectation):
             report=None, failures=("construction error",),
             error=f"{type(exc).__name__}: {exc}",
         )
+    key = (_REPORT_SCALARS(report), tuple(sorted(report.autocorr_values.items())))
+    report = reports.setdefault(key, report)
     failures = list(report.consistency_failures())
     if expectation is not None:
         failures += expectation.check(report)
@@ -241,6 +249,12 @@ def _run_point(base_a, base_b, sigma, expectation):
         r=sigma.r, s=sigma.s, asserted=expectation is not None,
         report=report, failures=tuple(failures),
     )
+
+
+def _run_slice(*columns):
+    """One pool task: a contiguous slice of points with its own intern dict,
+    so the pickled result carries each distinct report once."""
+    return list(map(_run_point, *columns, repeat({})))
 
 
 def _regroup(specs, points) -> list[CampaignResult]:
@@ -258,10 +272,15 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
     """Execute every grid point of every spec, through one pool when jobs > 1.
 
     Grids run in (r, s) order and regroup per spec in spec order, so results
-    do not depend on jobs.  The pool takes the flat point list in contiguous
-    slices of ceil(points / (4 * jobs)), about four per worker: a slice may
-    cut across campaigns, and each one costs a round trip through the
-    executor's threads in this process.
+    do not depend on jobs.  At jobs 1 the points stream into the regrouping
+    one at a time and share one intern dict, so each distinct report is one
+    object.  At jobs > 1 the flat point list is cut into contiguous slices of
+    ceil(points / (4 * jobs)), about four per worker, and each slice is one
+    pool task with its own intern dict: a slice may cut across campaigns,
+    each one costs a round trip through the executor's threads in this
+    process, and pickling sends each of its distinct reports once, so the run
+    holds at most one object per distinct report per slice.  Equal reports
+    share one object: callers must not mutate a report.
 
     wall_time_s runs from the previous campaign's last point to this
     campaign's last point.  At jobs > 1 it is the gap between arrivals, so a
@@ -280,10 +299,16 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
         expectations += [spec.expectation] * k
     columns = (bases_a, bases_b, sigmas, expectations)
     if jobs > 1:
-        chunk = max(1, math.ceil(len(sigmas) / (4 * jobs)))  # >= 1 even for no points
+        # Imported here, not at the top: the import loads multiprocessing,
+        # which a jobs-1 run and every other command would pay for nothing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        chunk = max(1, math.ceil(len(sigmas) / (4 * jobs)))  # a range step >= 1
+        cuts = range(0, len(sigmas), chunk)
+        slices = ([col[i:i + chunk] for i in cuts] for col in columns)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return _regroup(specs, pool.map(_run_point, *columns, chunksize=chunk))
-    return _regroup(specs, map(_run_point, *columns))
+            return _regroup(specs, chain.from_iterable(pool.map(_run_slice, *slices)))
+    return _regroup(specs, map(_run_point, *columns, repeat({})))
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +593,6 @@ def _report_dict(report: LCReport) -> dict:
     }
 
 
-_REPORT_SCALARS = operator.attrgetter(
-    *(f.name for f in dataclasses.fields(LCReport) if f.name != "autocorr_values")
-)
-
-
 def _json_array(items, indent: str) -> str:
     """A JSON array of encoded items, one per line at indent, as indent=2 lays
     it out; each item's own inner lines must already sit deeper."""
@@ -596,39 +616,44 @@ def results_to_json(results: list[CampaignResult]) -> str:
         "report": _report_dict(report) or None}]}]}
 
     laid out from templates.  An indent makes json.dumps run its pure-Python
-    encoder, and nearly every pair of a grid has the same report as another,
-    so each distinct report is dumped once per call and reused.
+    encoder, and run_campaigns gives all points with equal reports one
+    report object (per pool slice), so each report object is dumped once per
+    call, keyed by its identity.  The fragments go into one list, each
+    report's text by reference, and are joined once.
     """
     dumps = json.dumps
-    reports = {}  # (scalar fields, sorted profile) -> dump at the point depth
-    campaigns = []
+    reports = {}  # id(report) -> its dump at the point depth
+    out = ['{\n  "campaigns": [']
+    sep = "\n    "
     for res in results:
-        points = []
+        out += (
+            sep,
+            f'{{\n      "spec": {_nest(dumps(res.spec.echo(), indent=2), " " * 6)},\n'
+            f'      "passed": {_FLAGS[res.passed]},\n'
+            f'      "wall_time_s": {dumps(round(res.wall_time_s, 6))},\n'
+            '      "points": [',
+        )
+        sep, point_sep = ",\n    ", "\n        "
         for pt in res.points:
             rep = pt.report
             if rep is None:
                 report = "null"
-            else:
-                key = (_REPORT_SCALARS(rep), tuple(sorted(rep.autocorr_values.items())))
-                report = reports.get(key)
-                if report is None:
-                    report = reports[key] = _nest(
-                        dumps(_report_dict(rep), indent=2), " " * 10
-                    )
-            points.append(
+            elif (report := reports.get(id(rep))) is None:
+                report = reports[id(rep)] = _nest(dumps(_report_dict(rep), indent=2), " " * 10)
+            out += (
+                point_sep,
                 f'{{\n          "r": {pt.r},\n          "s": {pt.s},\n'
                 f'          "asserted": {_FLAGS[pt.asserted]},\n'
                 f'          "failures": {_json_array([dumps(f) for f in pt.failures], " " * 12)},\n'
                 f'          "error": {"null" if pt.error is None else dumps(pt.error)},\n'
-                f'          "report": {report}\n        }}'
+                '          "report": ',
+                report,
+                "\n        }",
             )
-        campaigns.append(
-            f'{{\n      "spec": {_nest(dumps(res.spec.echo(), indent=2), " " * 6)},\n'
-            f'      "passed": {_FLAGS[res.passed]},\n'
-            f'      "wall_time_s": {dumps(round(res.wall_time_s, 6))},\n'
-            f'      "points": {_json_array(points, " " * 8)}\n    }}'
-        )
-    return f'{{\n  "campaigns": {_json_array(campaigns, " " * 4)}\n}}\n'
+            point_sep = ",\n        "
+        out.append("\n      ]\n    }" if res.points else "]\n    }")
+    out.append("\n  ]\n}\n" if results else "]\n}\n")
+    return "".join(out)
 
 
 def _csv(rows) -> str:

@@ -1,6 +1,10 @@
+import concurrent.futures
+import dataclasses
 import io
 import json
+import math
 import os
+import time
 
 import pytest
 
@@ -33,6 +37,13 @@ def _must_not_build(*args, **kwargs):
 
 def theorem5_p7():
     return [s for s in theorem5_campaigns(ps=(7,)) if s.expectation is not None][0]
+
+
+def report_content(rep):
+    """A report's fields as a hashable value, the profile in any order."""
+    return frozenset(
+        {**vars(rep), "autocorr_values": frozenset(rep.autocorr_values.items())}.items()
+    )
 
 
 def theorem5_p7_payload(**report):
@@ -198,12 +209,12 @@ class TestRunCampaign:
     def test_one_pool_per_run(self, monkeypatch):
         pools = []
 
-        class CountingPool(harness.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 pools.append(self)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         specs = theorem5_campaigns(ps=(7, 11))
         parallel = run_campaigns(specs, jobs=2)
         assert len(pools) == 1
@@ -214,12 +225,12 @@ class TestRunCampaign:
     def test_about_four_slices_per_worker(self, monkeypatch):
         submits = []
 
-        class CountingPool(harness.ProcessPoolExecutor):
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
             def submit(self, *args, **kwargs):
                 submits.append(args)
                 return super().submit(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         # 102 points over 12 campaigns: 8-point chunks would make 13 slices.
         specs = theorem5_campaigns() + msequence_campaigns(ls=(3, 4))
         jobs = 2
@@ -227,6 +238,50 @@ class TestRunCampaign:
         assert 1 < len(submits) <= 4 * jobs
         serial = run_campaigns(specs, jobs=1)
         assert [res.points for res in parallel] == [res.points for res in serial]
+
+    def test_one_report_object_per_distinct_report(self):
+        specs = theorem5_campaigns() + msequence_campaigns(ls=(3, 4))
+        reports = [pt.report for res in run_campaigns(specs, jobs=1) for pt in res.points]
+        distinct = {report_content(rep) for rep in reports}
+        assert 1 < len(distinct) < len(reports)
+        assert len({id(rep) for rep in reports}) == len(distinct)
+
+    def test_one_report_object_per_distinct_report_per_slice(self):
+        specs = theorem5_campaigns() + msequence_campaigns(ls=(3, 4))
+        jobs = 2
+        parallel = run_campaigns(specs, jobs=jobs)
+        serial = run_campaigns(specs, jobs=1)
+        assert [res.points for res in parallel] == [res.points for res in serial]
+        reports = [pt.report for res in parallel for pt in res.points]
+        chunk = math.ceil(len(reports) / (4 * jobs))  # run_campaigns' slice length
+        objects = set()
+        for i in range(0, len(reports), chunk):
+            part = reports[i:i + chunk]
+            assert len({id(rep) for rep in part}) == len(set(map(report_content, part)))
+            objects |= {id(rep) for rep in part}
+        assert len(objects) < len(reports)
+
+    def test_jobs1_streams_points(self, monkeypatch):
+        # A campaign's wall time covers its own points only if each point
+        # reaches the regrouping as soon as it is computed.
+        analyze = harness.analyze_pair
+
+        def slow(*args):
+            time.sleep(0.002)
+            return analyze(*args)
+
+        monkeypatch.setattr(harness, "analyze_pair", slow)
+        spec = CampaignSpec(
+            name="three",
+            family_a="legendre",
+            family_b="legendre-prime",
+            param=7,
+            grid=(GroupElement(1, 1), GroupElement(2, 1), GroupElement(3, 1)),
+            expectation=None,
+        )
+        results = run_campaigns([spec, dataclasses.replace(spec, name="again")], jobs=1)
+        assert [len(res.points) for res in results] == [3, 3]
+        assert all(res.wall_time_s >= 0.006 for res in results)
 
     def test_empty_batch(self):
         assert run_campaigns([], jobs=2) == []
