@@ -29,7 +29,7 @@ MAX_N = 143
 GOLDEN = {
     "theorem5": (
         "73a6b5ceda2e4b546921b1b9759e4b40ca9e02e72786b193a63ba2ffad33a84d",
-        "132aa89a8c0ff593f5665ba974baaea17de7aed8b4162ad6b6d80209330a6f92",
+        "64cb0c5f04912bfe63284d3a63eafdd19da41da58e7af9ed72d65b09194a9e57",
     ),
     "msequence": (
         "0359c2350da38167870cb65dc1dd2152708f66b8dfcd8a2808a1718ca5d99576",
@@ -45,11 +45,11 @@ GOLDEN = {
     ),
     "theorem7": (
         "db6d30119607ac0efa07dac6beb21b1e3ba976b50b5e1da480bc2f5b41148579",
-        "de3b8ed6cec60c1ec282f18aeca1a4ba3e194dff1cd528262b6a75140116a7f1",
+        "451606fb91091845dc4782149c6260485201e9f21c67b7cc1020242797fae32d",
     ),
     "theorem9": (
         "4564957c4840444134e97f07cb76879ac97bbf04c5b7d081b93b9fd6d7e34aca",
-        "07130262a1282fcb15b34a4e409c8ddaef838cabc50324ae7b03ed2fadb51df5",
+        "2b91d0234eaa0ef67e40effe59fe439c0821797ee1fa6be54f6c1ab6db94ceee",
     ),
     "remarks": (
         "ba8e73a9a655294e8d74f97adeaebdbe3f9352d6fac8d1ed967365482c45ff2c",
@@ -67,7 +67,7 @@ GOLDEN = {
 
 
 # sha256 of the JSON list of [spec.echo(), (r, s) grid] over named_campaigns("all")
-SPECS_DIGEST = "fe32eef25ebe4c0e890856347d2fc4fdc6719f5d6e5f67591246953381dabcee"
+SPECS_DIGEST = "bf6d7d0adee5e2837a6511889c45807f6b3e1b30280ece55b102053ec573ec92"
 
 
 def sha256(text: str) -> str:

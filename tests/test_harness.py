@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from seqlc import cli, harness
+from seqlc import cli, complexity, harness
 from seqlc.cli import main
 from seqlc.harness import (
     CSV_HEADER,
@@ -367,6 +367,23 @@ class TestNamedCampaigns:
     def test_unknown_keyword_is_rejected(self):
         with pytest.raises(TypeError):
             named_campaigns("theorem6", fulls=True)
+
+    def test_recorded_specs_assert_the_whole_family_claims(self):
+        # Outside the LC claim the paper still claims optimal autocorrelation
+        # and 2-adic maximality, so a -recorded spec asserts those two.
+        recorded = [s for s in named_campaigns("all") if s.name.endswith("recorded")]
+        assert len(recorded) == 8
+        assert sum(len(s.grid) for s in recorded) == 250
+        assert all(s.expectation == Expectation(two_adic_max=True) for s in recorded)
+
+    def test_recorded_point_fails_on_a_false_two_adic_verdict(self, monkeypatch):
+        spec = next(s for s in theorem5_campaigns(ps=(7,)) if s.name.endswith("recorded"))
+        assert run_campaigns([spec], jobs=1)[0].passed
+        monkeypatch.setattr(complexity, "two_adic_max", lambda w: False)
+        res = run_campaigns([spec], jobs=1)[0]
+        assert not res.passed
+        assert all(pt.asserted for pt in res.points)
+        assert res.points[0].failures == ("two_adic_max is False, expected True",)
 
     def test_twoadic_sweep_builds_no_base(self, monkeypatch):
         specs = harness.twoadic_campaigns()
