@@ -10,9 +10,10 @@ Subcommands:
 * verify      run named verification campaigns and report pass/fail
 * report      convert an emitted JSON report to CSV (or re-emit it, checked)
 
-Exit status: 0 when every asserted claim holds, 1 when an asserted
-claim fails (verify), 2 when an input is rejected; a rejected input
-prints one "error:" line on stderr.
+Exit status: 0 when every point of every campaign holds its claims (its
+campaign's LC claim, if any, optimal autocorrelation and 2-adic
+maximality), 1 when one fails (verify), 2 when an input is rejected; a
+rejected input prints one "error:" line on stderr.
 """
 
 from __future__ import annotations

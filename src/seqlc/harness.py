@@ -2,19 +2,23 @@
 analyze each pair, check expectations, and emit machine-readable reports.
 
 A campaign fixes two base sequences (by family name and parameter), a grid
-of group elements sigma = L^r M_s applied to the second base, and an
-optional expectation on the resulting linear complexity.  Grid points run
-independently (optionally in parallel) and aggregate in lexicographic
-(r, s) order, so identical specs produce identical reports.
+of group elements sigma = L^r M_s applied to the second base, and a claim
+on the resulting linear complexity: exact, an upper bound, or absent (the
+bound, -recorded and twoadic campaigns record the LC).  Every point asserts
+optimal autocorrelation and 2-adic maximality, which the paper claims for
+every interleaving of two ideal-autocorrelation sequences, the only pairs
+analyze_pair accepts; so the JSON report's "asserted" and the expectation's
+"optimal_autocorr" and "two_adic_max" are always true, kept for the report
+format.  Grid points run independently (optionally in parallel) and
+aggregate in lexicographic (r, s) order, so identical specs produce
+identical reports.
 
 The named campaigns wired into the CLI cover every quantitative claim the
 library reproduces: Legendre pairs, m-sequence pairs sharing or not
 sharing a minimal polynomial, Hall pairs in both residue classes mod 8,
 Legendre-by-Hall pairs, twin-prime pairs, the below-ceiling spot checks,
-a cross-family consistency sweep, and the 2-adic maximality sweep.  Every
-asserted campaign also asserts 2-adic maximality, which the paper claims
-for every interleaving; the twoadic sweep re-runs the n <= 127 grids with
-that verdict as their only claim.
+a cross-family consistency sweep, and the 2-adic maximality sweep, which
+re-runs the n <= 127 grids under an LC claim without that claim.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ CSV_HEADER = (
 )
 _CSV_FIELDS = operator.itemgetter(*CSV_HEADER.split(","))
 _FLAGS = ("false", "true")  # a bool as the CSV and the JSON spell it
+# The exact type of each CSV field, so that no bool passes as a number.
+_CSV_TYPES = (int,) * 8 + (bool, bool)
 
 # Largest period a family parameter or a sequence file may give.  The kernels
 # are O(N^2), and a pair's interleaving has N = 4 * period, so larger inputs
@@ -85,12 +91,11 @@ def read_sequence(path) -> BinarySeq:
 
 @dataclass(frozen=True)
 class Expectation:
-    """What every asserted grid point must satisfy."""
+    """A campaign's LC claim: exact, an upper bound, or neither (recorded).
+    check also tests optimal autocorrelation and 2-adic maximality."""
 
     lc_exact: int | None = None
     lc_below: int | None = None
-    optimal_autocorr: bool = True
-    two_adic_max: bool | None = None
 
     def check(self, report: LCReport) -> list[str]:
         bad = []
@@ -98,13 +103,11 @@ class Expectation:
             bad.append(f"LC {report.lc_formula} != expected {self.lc_exact}")
         if self.lc_below is not None and report.lc_formula >= self.lc_below:
             bad.append(f"LC {report.lc_formula} not below {self.lc_below}")
-        if self.optimal_autocorr and not set(report.autocorr_values) <= {0, -4}:
+        if not set(report.autocorr_values) <= {0, -4}:
             extra = sorted(set(report.autocorr_values) - {0, -4})
             bad.append(f"autocorrelation values outside {{0, -4}}: {extra}")
-        if self.two_adic_max is not None and report.two_adic_max != self.two_adic_max:
-            bad.append(
-                f"two_adic_max is {report.two_adic_max}, expected {self.two_adic_max}"
-            )
+        if not report.two_adic_max:
+            bad.append("two_adic_max is False, expected True")
         return bad
 
 
@@ -122,7 +125,7 @@ class CampaignSpec:
     family_b: str
     param: int
     grid: tuple[GroupElement, ...]
-    expectation: Expectation | None
+    expectation: Expectation
     param_b: int | None = None
     variant_a: str | None = None
     variant_b: str | None = None
@@ -137,7 +140,7 @@ class CampaignSpec:
                 raise ValueError(f"unknown family {fam!r}")
 
     def echo(self) -> dict:
-        d = {
+        return {
             "name": self.name,
             "family_a": self.family_a,
             "family_b": self.family_b,
@@ -146,19 +149,18 @@ class CampaignSpec:
             "grid_size": len(self.grid),
             "variant_a": self.variant_a,
             "variant_b": self.variant_b,
+            "expectation": {
+                **dataclasses.asdict(self.expectation),
+                "optimal_autocorr": True,
+                "two_adic_max": True,
+            },
         }
-        if self.expectation is None:
-            d["expectation"] = None
-        else:
-            d["expectation"] = dataclasses.asdict(self.expectation)
-        return d
 
 
 @dataclass(frozen=True)
 class PairResult:
     r: int
     s: int
-    asserted: bool
     report: LCReport | None
     failures: tuple[str, ...]
     error: str | None = None
@@ -172,8 +174,11 @@ class PairResult:
 class CampaignResult:
     spec: CampaignSpec
     points: tuple[PairResult, ...]
-    passed: bool
     wall_time_s: float
+
+    @property
+    def passed(self) -> bool:
+        return all(pt.passed for pt in self.points)
 
 
 def _family_period(family: str, param: int) -> int:
@@ -236,19 +241,13 @@ def _run_point(base_a, base_b, sigma, expectation, reports):
         report = analyze_pair(base_a, base_b, sigma)
     except ValueError as exc:  # a rejected point is a row; anything else is a defect
         return PairResult(
-            r=sigma.r, s=sigma.s, asserted=expectation is not None,
-            report=None, failures=("construction error",),
+            r=sigma.r, s=sigma.s, report=None, failures=("construction error",),
             error=f"{type(exc).__name__}: {exc}",
         )
     key = (_REPORT_SCALARS(report), tuple(sorted(report.autocorr_values.items())))
     report = reports.setdefault(key, report)
-    failures = list(report.consistency_failures())
-    if expectation is not None:
-        failures += expectation.check(report)
-    return PairResult(
-        r=sigma.r, s=sigma.s, asserted=expectation is not None,
-        report=report, failures=tuple(failures),
-    )
+    failures = report.consistency_failures() + expectation.check(report)
+    return PairResult(r=sigma.r, s=sigma.s, report=report, failures=tuple(failures))
 
 
 def _run_slice(*columns):
@@ -263,13 +262,17 @@ def _regroup(specs, points) -> list[CampaignResult]:
     for spec in specs:
         pts = tuple(islice(points, len(spec.grid)))
         t1 = time.perf_counter()
-        results.append(CampaignResult(spec, pts, all(p.passed for p in pts), t1 - t0))
+        results.append(CampaignResult(spec, pts, t1 - t0))
         t0 = t1
     return results
 
 
 def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
     """Execute every grid point of every spec, through one pool when jobs > 1.
+
+    A point fails on an inconsistent report or on a failed check of its
+    spec's expectation: the LC claim, if any, optimal autocorrelation and
+    2-adic maximality.  A campaign passes when all its points pass.
 
     Grids run in (r, s) order and regroup per spec in spec order, so results
     do not depend on jobs.  At jobs 1 the points stream into the regrouping
@@ -314,32 +317,17 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
 # ---------------------------------------------------------------------------
 # Named campaigns
 
-# Largest base period n of the twoadic sweep, which re-runs the small
-# asserted grids with the 2-adic verdict as their only claim.  Every asserted
-# campaign checks the verdict at any n; this bound only keeps the sweep's
-# rows, which are part of the CSV contract.
+# Largest base period n of the twoadic sweep, which re-runs the small grids
+# under an LC claim without that claim.  Every point checks the 2-adic
+# verdict at any n; this bound only keeps the sweep's rows, which are part
+# of the CSV contract.
 TWO_ADIC_MAX_N = 127
 
 
-def _claim(name, family_a, family_b, param, grid, *, param_b=None,
-           variant_a=None, variant_b=None, **lc) -> CampaignSpec:
-    """An asserted campaign: the LC claim in lc (lc_exact or lc_below, none
-    for the bound sweep) plus 2-adic maximality, which the paper claims for
-    every interleaving."""
-    return CampaignSpec(
-        name, family_a, family_b, param, grid, Expectation(**lc, two_adic_max=True),
-        param_b=param_b, variant_a=variant_a, variant_b=variant_b,
-    )
-
-
-def _recorded(spec: CampaignSpec, suffix: str, grid) -> CampaignSpec:
-    """spec's pair over grid, outside the LC claim.  The paper still claims
-    optimal autocorrelation and 2-adic maximality for every interleaving of
-    two ideal sequences, so those two are asserted and the LC is recorded."""
-    return dataclasses.replace(
-        spec, name=spec.name + suffix, grid=grid,
-        expectation=Expectation(two_adic_max=True),
-    )
+def _recorded(spec: CampaignSpec, name: str, grid) -> CampaignSpec:
+    """spec's pair as campaign name over grid, with no LC claim: the LC is
+    recorded, and only the claims every point asserts are checked."""
+    return dataclasses.replace(spec, name=name, grid=grid, expectation=Expectation())
 
 
 def _product_grid(r_range, s_values) -> tuple[GroupElement, ...]:
@@ -361,16 +349,16 @@ def _with_r0_twin(spec: CampaignSpec, recorded) -> list[CampaignSpec]:
     which lie outside the LC claim (no twin when recorded is empty)."""
     if not recorded:
         return [spec]
-    return [spec, _recorded(spec, "-r0-recorded", recorded)]
+    return [spec, _recorded(spec, spec.name + "-r0-recorded", recorded)]
 
 
 def theorem5_campaigns(ps=(7, 11, 19, 23)) -> list[CampaignSpec]:
     """Legendre pairs (ell, L^r(ell')) with r != 0: LC hits the 2p+2 ceiling."""
     specs = []
     for p in ps:
-        spec = _claim(
+        spec = CampaignSpec(
             f"theorem5-p{p}", "legendre", "legendre-prime", p,
-            _product_grid(range(1, p), (1,)), lc_exact=2 * p + 2,
+            _product_grid(range(1, p), (1,)), Expectation(lc_exact=2 * p + 2),
         )
         specs += _with_r0_twin(spec, (GroupElement(0, 1),))
     return specs
@@ -381,13 +369,14 @@ def msequence_campaigns(ls=(3, 4, 5)) -> list[CampaignSpec]:
     specs = []
     for l in ls:
         n = (1 << l) - 1
-        specs.append(_claim(
+        specs.append(CampaignSpec(
             f"msequence-l{l}-same-poly", "m-sequence", "m-sequence", l,
-            _product_grid(range(1, n), (1,)), lc_exact=2 * l + 4,
+            _product_grid(range(1, n), (1,)), Expectation(lc_exact=2 * l + 4),
         ))
-        specs.append(_claim(
+        specs.append(CampaignSpec(
             f"msequence-l{l}-distinct-poly", "m-sequence", "m-sequence", l,
-            _product_grid(range(0, n), (1,)), variant_b="alt", lc_exact=4 * l + 4,
+            _product_grid(range(0, n), (1,)), Expectation(lc_exact=4 * l + 4),
+            variant_b="alt",
         ))
     return specs
 
@@ -398,7 +387,8 @@ def example1_campaign(p: int = 31) -> list[CampaignSpec]:
         raise ValueError("this construction is claimed for p = 7 mod 8")
     _, classes = hall_construction(p)
     grid = tuple(GroupElement(2, j) for j in sorted(classes.classes[4]))
-    return [_claim(f"example1-p{p}", "hall", "hall", p, grid, lc_exact=(2 * p + 10) // 3)]
+    claim = Expectation(lc_exact=(2 * p + 10) // 3)
+    return [CampaignSpec(f"example1-p{p}", "hall", "hall", p, grid, claim)]
 
 
 def theorem6_campaigns(ps=(43, 283), full_s: bool = False) -> list[CampaignSpec]:
@@ -408,7 +398,8 @@ def theorem6_campaigns(ps=(43, 283), full_s: bool = False) -> list[CampaignSpec]
         if p % 8 != 3:
             raise ValueError("claimed for p = 3 mod 8 only")
         grid = _product_grid(range(1, p), _hall_s_reps(p, full=full_s))
-        specs.append(_claim(f"theorem6-p{p}", "hall", "hall", p, grid, lc_exact=2 * p + 2))
+        claim = Expectation(lc_exact=2 * p + 2)
+        specs.append(CampaignSpec(f"theorem6-p{p}", "hall", "hall", p, grid, claim))
     return specs
 
 
@@ -423,6 +414,7 @@ def theorem7_campaigns(p: int = 43, full_s: bool = False) -> list[CampaignSpec]:
     if p % 8 != 3:
         raise ValueError("claimed for p = 3 mod 8 only")
     reps = _hall_s_reps(p, full=full_s)
+    claim = Expectation(lc_exact=2 * p + 2)
     specs = []
     for fam, sym in (("legendre", -1), ("legendre-prime", 1)):
         asserted = _product_grid(range(1, p), reps) + tuple(
@@ -431,7 +423,7 @@ def theorem7_campaigns(p: int = 43, full_s: bool = False) -> list[CampaignSpec]:
         recorded = tuple(
             GroupElement(0, s) for s in reps if legendre_symbol(s, p) != sym
         )
-        spec = _claim(f"theorem7-{fam}-p{p}", fam, "hall", p, asserted, lc_exact=2 * p + 2)
+        spec = CampaignSpec(f"theorem7-{fam}-p{p}", fam, "hall", p, asserted, claim)
         specs += _with_r0_twin(spec, recorded)
     return specs
 
@@ -449,13 +441,14 @@ def theorem9_campaigns(ps=(5, 29), record_complementary=(11,)) -> list[CampaignS
     def twin_pairs(p):
         n = p * (p + 2)
         grid = _product_grid([r for r in range(1, n) if math.gcd(r, n) == 1], (1,))
+        claim = Expectation(lc_exact=2 * n + 2)
         return [
-            _claim(f"theorem9-p{p}-{fam}", "twin-prime", fam, p, grid, lc_exact=2 * n + 2)
+            CampaignSpec(f"theorem9-p{p}-{fam}", "twin-prime", fam, p, grid, claim)
             for fam in ("twin-prime", "twin-prime-tau")
         ]
 
     return [spec for p in ps for spec in twin_pairs(p)] + [
-        _recorded(spec, "-recorded", spec.grid)
+        _recorded(spec, spec.name + "-recorded", spec.grid)
         for p in record_complementary
         for spec in twin_pairs(p)
     ]
@@ -466,8 +459,9 @@ def remarks_campaigns(p: int = 31, full_s: bool = False) -> list[CampaignSpec]:
     if p % 8 != 7:
         raise ValueError("claimed for p = 7 mod 8 only")
     grid = _product_grid(range(0, p), _hall_s_reps(p, full=full_s))
+    claim = Expectation(lc_below=2 * p + 2)
     return [
-        _claim(f"remarks-{fam}-p{p}", fam, "hall", p, grid, lc_below=2 * p + 2)
+        CampaignSpec(f"remarks-{fam}-p{p}", fam, "hall", p, grid, claim)
         for fam in ("hall", "legendre", "legendre-prime")
     ]
 
@@ -522,15 +516,15 @@ def bound_campaigns(seed: int = BOUND_SEED) -> list[CampaignSpec]:
                     GroupElement(rng.randrange(n), rng.choice(units))
                     for _ in range(_BOUND_SIGMAS_PER_PAIR)
                 )
-                specs.append(_claim(
-                    f"bound-n{n}-{label_a}-x-{label_b}", fa, fb, pa, grid,
+                specs.append(CampaignSpec(
+                    f"bound-n{n}-{label_a}-x-{label_b}", fa, fb, pa, grid, Expectation(),
                     param_b=pb, variant_a=va, variant_b=vb,
                 ))
     return specs
 
 
 def twoadic_campaigns() -> list[CampaignSpec]:
-    """The n <= 127 grids under an LC claim, 2-adic verdict only."""
+    """The n <= 127 grids under an LC claim, rerun with no LC claim."""
     pool = (
         theorem5_campaigns()
         + msequence_campaigns()
@@ -540,9 +534,7 @@ def twoadic_campaigns() -> list[CampaignSpec]:
         + theorem9_campaigns(ps=(5,), record_complementary=())
     )
     return [
-        dataclasses.replace(
-            spec, name=f"twoadic-{spec.name}", expectation=Expectation(two_adic_max=True)
-        )
+        _recorded(spec, f"twoadic-{spec.name}", spec.grid)
         for spec in pool
         if spec.expectation.lc_exact is not None
         and _family_period(spec.family_a, spec.param) <= TWO_ADIC_MAX_N
@@ -615,10 +607,12 @@ def results_to_json(results: list[CampaignResult]) -> str:
     """The JSON report, exactly json.dumps(payload, indent=2) + "\\n" of
 
         {"campaigns": [{"spec": spec.echo(), "passed", "wall_time_s" (rounded
-        to 6 places), "points": [{"r", "s", "asserted", "failures", "error",
-        "report": _report_dict(report) or None}]}]}
+        to 6 places), "points": [{"r", "s", "asserted": true, "failures",
+        "error", "report": _report_dict(report) or None}]}]}
 
-    laid out from templates.  An indent makes json.dumps run its pure-Python
+    laid out from templates.  "asserted" is always true, as every point
+    asserts the claims the paper makes for every interleaving; it stays for
+    the report format.  An indent makes json.dumps run its pure-Python
     encoder, and run_campaigns gives all points with equal reports one
     report object (per pool slice), so each report object is dumped once per
     call, keyed by its identity.  The fragments go into one list, each
@@ -646,7 +640,7 @@ def results_to_json(results: list[CampaignResult]) -> str:
             out += (
                 point_sep,
                 f'{{\n          "r": {pt.r},\n          "s": {pt.s},\n'
-                f'          "asserted": {_FLAGS[pt.asserted]},\n'
+                '          "asserted": true,\n'
                 f'          "failures": {_json_array([dumps(f) for f in pt.failures], " " * 12)},\n'
                 f'          "error": {"null" if pt.error is None else dumps(pt.error)},\n'
                 '          "report": ',
@@ -663,9 +657,10 @@ def _csv(rows) -> str:
     """The CSV report: the header, then one line per mapping in rows."""
     lines = [CSV_HEADER]
     for fields in rows:
-        *numbers, attains, two_adic = _CSV_FIELDS(fields)
-        if type(attains) is not bool or type(two_adic) is not bool:
-            raise TypeError("CSV flags must be booleans")
+        values = _CSV_FIELDS(fields)
+        if tuple(map(type, values)) != _CSV_TYPES:
+            raise TypeError("CSV numbers must be ints and CSV flags bools")
+        *numbers, attains, two_adic = values
         lines.append(
             ",".join([*map(str, numbers), _FLAGS[attains], _FLAGS[two_adic]])
         )

@@ -69,7 +69,7 @@ def _lc_claimed_reports(results):
     asserts autocorrelation and 2-adic maximality but records its LC."""
     for res in results:
         claim = res.spec.expectation
-        if claim is None or claim.lc_exact is None and claim.lc_below is None:
+        if claim.lc_exact is None and claim.lc_below is None:
             continue
         for pt in res.points:
             assert pt.error is None, (res.spec.name, pt.r, pt.s, pt.error)

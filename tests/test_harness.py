@@ -36,7 +36,7 @@ def _must_not_build(*args, **kwargs):
 
 
 def theorem5_p7():
-    return [s for s in theorem5_campaigns(ps=(7,)) if s.expectation is not None][0]
+    return theorem5_campaigns(ps=(7,))[0]
 
 
 def report_content(rep):
@@ -46,10 +46,13 @@ def report_content(rep):
     )
 
 
-def theorem5_p7_payload(**report):
-    """The JSON report of theorem5_p7, its first point's report updated."""
+def theorem5_p7_payload(point=(), **report):
+    """The JSON report of theorem5_p7, its first point and that point's report
+    updated."""
     payload = json.loads(results_to_json([run_campaigns([theorem5_p7()])[0]]))
-    payload["campaigns"][0]["points"][0]["report"].update(report)
+    first = payload["campaigns"][0]["points"][0]
+    first.update(point)
+    first["report"].update(report)
     return payload
 
 
@@ -107,10 +110,9 @@ class TestRunCampaign:
         assert all(pt.report.lc_formula == 16 for pt in res.points)
 
     def test_two_adic_verdict_asserted_beyond_p127(self):
-        # The paper claims 2-adic maximality for every interleaving, so the
-        # verdict is asserted above the twoadic sweep's n <= 127 too.
-        spec = next(s for s in theorem5_campaigns(ps=(131,)) if s.expectation)
-        assert spec.expectation.two_adic_max is True
+        # The paper claims 2-adic maximality for every interleaving, so every
+        # point asserts the verdict, above the twoadic sweep's n <= 127 too.
+        spec = theorem5_campaigns(ps=(131,))[0]
         res = run_campaigns([spec])[0]
         assert len(res.points) == 130
         assert res.passed, [pt.failures for pt in res.points if not pt.passed][:3]
@@ -122,11 +124,10 @@ class TestRunCampaign:
             family_b="legendre",
             param=7,
             grid=(GroupElement(1, 1), GroupElement(2, 1)),
-            expectation=None,
+            expectation=Expectation(),
         )
         res = run_campaigns([spec])[0]
         assert res.passed
-        assert all(not pt.asserted for pt in res.points)
         assert all(pt.report is not None for pt in res.points)
 
     def test_failing_expectation(self):
@@ -180,7 +181,7 @@ class TestRunCampaign:
             family_b=family_b,
             param=7,
             grid=grid,
-            expectation=None,
+            expectation=Expectation(),
         )
         is_ideal.cache_clear()
         run_campaigns([spec], jobs=1)
@@ -196,7 +197,7 @@ class TestRunCampaign:
                 family_b="legendre",
                 param=7,
                 grid=(),
-                expectation=None,
+                expectation=Expectation(),
             )
 
     def test_parallel_equals_serial(self):
@@ -277,7 +278,7 @@ class TestRunCampaign:
             family_b="legendre-prime",
             param=7,
             grid=(GroupElement(1, 1), GroupElement(2, 1), GroupElement(3, 1)),
-            expectation=None,
+            expectation=Expectation(),
         )
         results = run_campaigns([spec, dataclasses.replace(spec, name="again")], jobs=1)
         assert [len(res.points) for res in results] == [3, 3]
@@ -374,7 +375,7 @@ class TestNamedCampaigns:
         recorded = [s for s in named_campaigns("all") if s.name.endswith("recorded")]
         assert len(recorded) == 8
         assert sum(len(s.grid) for s in recorded) == 250
-        assert all(s.expectation == Expectation(two_adic_max=True) for s in recorded)
+        assert all(s.expectation == Expectation() for s in recorded)
 
     def test_recorded_point_fails_on_a_false_two_adic_verdict(self, monkeypatch):
         spec = next(s for s in theorem5_campaigns(ps=(7,)) if s.name.endswith("recorded"))
@@ -382,8 +383,16 @@ class TestNamedCampaigns:
         monkeypatch.setattr(complexity, "two_adic_max", lambda w: False)
         res = run_campaigns([spec], jobs=1)[0]
         assert not res.passed
-        assert all(pt.asserted for pt in res.points)
         assert res.points[0].failures == ("two_adic_max is False, expected True",)
+
+    def test_recorded_point_fails_on_a_non_optimal_profile(self, monkeypatch):
+        # An LC-free campaign still asserts optimal autocorrelation.
+        spec = next(s for s in theorem5_campaigns(ps=(7,)) if s.name.endswith("recorded"))
+        assert spec.expectation == Expectation()
+        monkeypatch.setattr(complexity, "autocorrelation_profile", lambda w: {-4: 3, 4: 2})
+        res = run_campaigns([spec], jobs=1)[0]
+        assert not res.passed
+        assert res.points[0].failures == ("autocorrelation values outside {0, -4}: [4]",)
 
     def test_twoadic_sweep_builds_no_base(self, monkeypatch):
         specs = harness.twoadic_campaigns()
@@ -456,6 +465,15 @@ class TestCli:
             (["report"], lambda: theorem5_p7_payload(attains_max=-1), None),
             (["report"], lambda: theorem5_p7_payload(attains_max=1), None),
             (["report"], lambda: theorem5_p7_payload(two_adic_max=0), None),
+            (["report"], lambda: theorem5_p7_payload(n="7\n8,9"), "not a seqlc JSON report"),
+            (["report"], lambda: theorem5_p7_payload(lc_bm=1.5), "not a seqlc JSON report"),
+            (["report"], lambda: theorem5_p7_payload(z_ab=None), "not a seqlc JSON report"),
+            (["report"], lambda: theorem5_p7_payload(lc_direct=True), "not a seqlc JSON report"),
+            (
+                ["report"],
+                lambda: theorem5_p7_payload(point={"r": "1"}),
+                "not a seqlc JSON report",
+            ),
             (["report", "--format", "json"], "hello", None),
             (["report"], "[" * 200000, "not a seqlc JSON report"),
             (
@@ -478,7 +496,9 @@ class TestCli:
             "gen-no-p", "msequence-no-l", "verify-no-grid", "variant-not-msequence",
             "report-list", "report-campaigns-int", "report-campaign-int",
             "report-attains-max-2", "report-attains-max-minus-1",
-            "report-attains-max-1", "report-two-adic-max-0", "report-json-not-a-report",
+            "report-attains-max-1", "report-two-adic-max-0", "report-n-newline",
+            "report-lc-bm-float", "report-z-ab-null", "report-lc-direct-true",
+            "report-point-r-string", "report-json-not-a-report",
             "report-nested-too-deep", "verify-p-and-l",
             "msequence-bad-variant", "msequence-not-primitive",
         ],

@@ -364,12 +364,10 @@ specs = st.builds(
         st.builds(GroupElement, st.integers(0, 99), st.integers(1, 99)),
         min_size=1, max_size=3,
     ).map(tuple),
-    expectation=st.none() | st.builds(
+    expectation=st.builds(
         Expectation,
         lc_exact=st.none() | small_ints,
         lc_below=st.none() | small_ints,
-        optimal_autocorr=st.booleans(),
-        two_adic_max=st.none() | st.booleans(),
     ),
     param_b=st.none() | small_ints,
     variant_a=st.none() | awkward_text,
@@ -395,7 +393,6 @@ def campaign_results(draw):
         PairResult,
         r=small_ints,
         s=small_ints,
-        asserted=st.booleans(),
         report=st.none() | st.sampled_from(variants),
         failures=st.lists(awkward_text, max_size=3).map(tuple),
         error=st.none() | awkward_text,
@@ -403,7 +400,6 @@ def campaign_results(draw):
     return CampaignResult(
         spec=draw(specs),
         points=tuple(draw(st.lists(point, max_size=6))),
-        passed=draw(st.booleans()),
         wall_time_s=draw(
             st.sampled_from([0.0, 1e-7, 1234.5]) | st.floats(0, 1e6, allow_nan=False)
         ),
@@ -422,7 +418,7 @@ def indent2_dump(results):
                     {
                         "r": pt.r,
                         "s": pt.s,
-                        "asserted": pt.asserted,
+                        "asserted": True,
                         "failures": list(pt.failures),
                         "error": pt.error,
                         "report": None if pt.report is None else {
