@@ -45,8 +45,8 @@ from .sequences import (
     is_ideal,
 )
 
-# Longest input `report` reads, in characters.  The largest report verify
-# writes, `verify all --full-s` as JSON, is about 45 MB.
+# Longest input `report` reads, in characters.  Earlier versions' `--full-s`
+# option wrote reports of up to about 45 MB, which this still admits.
 MAX_REPORT_CHARS = 2**26
 
 
@@ -126,12 +126,13 @@ def _cmd_verify(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs must be between 1 and {cpus}")
-    specs = harness.named_campaigns(
-        args.campaign, full_s=args.full_s, seed=args.seed
-    )
-    wanted = args.p if args.p is not None else args.l
-    if wanted is not None:
-        specs = [s for s in specs if s.param == wanted]
+    specs = harness.named_campaigns(args.campaign, seed=args.seed)
+    if args.p is not None or args.l is not None:
+        # --l keys the m-sequence grids and --p the others, as in gen.
+        specs = [
+            s for s in specs
+            if s.param == (args.l if s.family_a == "m-sequence" else args.p)
+        ]
         if not specs:
             raise ValueError(f"campaign {args.campaign} has no grid at that parameter")
     results = run_campaigns(specs, jobs=args.jobs)
@@ -199,11 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign", choices=tuple(NAMED_CAMPAIGNS) + ("all",)
     )
     p_vf.add_argument("--p", type=int, help="restrict to one prime parameter")
-    p_vf.add_argument("--l", type=int, help="restrict to one degree parameter")
+    p_vf.add_argument("--l", type=int, help="restrict to one m-sequence degree")
     p_vf.add_argument("--format", choices=("json", "csv"), default="json")
     p_vf.add_argument("--out")
-    p_vf.add_argument("--full-s", action="store_true", dest="full_s",
-                      help="sweep every unit s, not one per class")
     p_vf.add_argument("--seed", type=int, default=harness.BOUND_SEED,
                       help="seed for the randomized consistency sweep")
     p_vf.add_argument("--jobs", type=int, default=1,

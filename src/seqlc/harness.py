@@ -206,9 +206,12 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
         if variant is None:
             return m_sequence(param)
         if variant == "alt":
-            gen = primitive_polynomials(param)
-            next(gen)
-            return m_sequence(param, char_poly=next(gen))
+            alt = next(islice(primitive_polynomials(param), 1, None), None)
+            if alt is None:
+                raise ValueError(
+                    f"m-sequence degree {param} has no second primitive polynomial"
+                )
+            return m_sequence(param, char_poly=alt)
         if not variant.isdecimal():
             raise ValueError(
                 f"m-sequence variant {variant!r} is neither 'alt' nor a decimal encoding"
@@ -336,12 +339,11 @@ def _product_grid(r_range, s_values) -> tuple[GroupElement, ...]:
     )
 
 
-def _hall_s_reps(p: int, full: bool = False) -> list[int]:
-    """One sample index per cyclotomic class (or all units with full=True)."""
-    _, classes = hall_construction(p)
-    if full:
-        return list(range(1, p))
-    return sorted(min(c) for c in classes.classes)
+def _hall_s_reps(p: int) -> list[int]:
+    """One sample index per cyclotomic class of order 6.  A sixth power maps
+    each class to itself, so M_s of the Hall sequence (D0 u D1 u D3) and the
+    Legendre symbol of s depend only on the class of s."""
+    return sorted(map(min, hall_construction(p)[1].classes))
 
 
 def _with_r0_twin(spec: CampaignSpec, recorded) -> list[CampaignSpec]:
@@ -391,19 +393,19 @@ def example1_campaign(p: int = 31) -> list[CampaignSpec]:
     return [CampaignSpec(f"example1-p{p}", "hall", "hall", p, grid, claim)]
 
 
-def theorem6_campaigns(ps=(43, 283), full_s: bool = False) -> list[CampaignSpec]:
+def theorem6_campaigns(ps=(43, 283)) -> list[CampaignSpec]:
     """Hall pairs (h, L^r M_s(h)), p = 3 mod 8, r != 0: LC hits 2p+2."""
     specs = []
     for p in ps:
         if p % 8 != 3:
             raise ValueError("claimed for p = 3 mod 8 only")
-        grid = _product_grid(range(1, p), _hall_s_reps(p, full=full_s))
+        grid = _product_grid(range(1, p), _hall_s_reps(p))
         claim = Expectation(lc_exact=2 * p + 2)
         specs.append(CampaignSpec(f"theorem6-p{p}", "hall", "hall", p, grid, claim))
     return specs
 
 
-def theorem7_campaigns(p: int = 43, full_s: bool = False) -> list[CampaignSpec]:
+def theorem7_campaigns(p: int = 43) -> list[CampaignSpec]:
     """Legendre-by-Hall pairs, p = 3 mod 8.
 
     The ceiling 2p+2 is claimed for every nonzero shift, and at r = 0
@@ -413,7 +415,7 @@ def theorem7_campaigns(p: int = 43, full_s: bool = False) -> list[CampaignSpec]:
     """
     if p % 8 != 3:
         raise ValueError("claimed for p = 3 mod 8 only")
-    reps = _hall_s_reps(p, full=full_s)
+    reps = _hall_s_reps(p)
     claim = Expectation(lc_exact=2 * p + 2)
     specs = []
     for fam, sym in (("legendre", -1), ("legendre-prime", 1)):
@@ -454,11 +456,11 @@ def theorem9_campaigns(ps=(5, 29), record_complementary=(11,)) -> list[CampaignS
     ]
 
 
-def remarks_campaigns(p: int = 31, full_s: bool = False) -> list[CampaignSpec]:
+def remarks_campaigns(p: int = 31) -> list[CampaignSpec]:
     """p = 7 mod 8 spot checks: Hall against itself or Legendre stays below 2p+2."""
     if p % 8 != 7:
         raise ValueError("claimed for p = 7 mod 8 only")
-    grid = _product_grid(range(0, p), _hall_s_reps(p, full=full_s))
+    grid = _product_grid(range(0, p), _hall_s_reps(p))
     claim = Expectation(lc_below=2 * p + 2)
     return [
         CampaignSpec(f"remarks-{fam}-p{p}", fam, "hall", p, grid, claim)
@@ -466,31 +468,33 @@ def remarks_campaigns(p: int = 31, full_s: bool = False) -> list[CampaignSpec]:
     ]
 
 
-# The bound sweep's slots by base period n: the family, variant and parameter
-# that build_family takes, then the slot's label in the campaign name.
-_BOUND_POOL = {
-    7: (("legendre", None, 7, "legendre"),
-        ("legendre-prime", None, 7, "legendre-prime"),
-        ("m-sequence", None, 3, "m-sequence"),
-        ("m-sequence", "alt", 3, "m-sequence-alt")),
-    11: (("legendre", None, 11, "legendre"),
-         ("legendre-prime", None, 11, "legendre-prime")),
-    15: (("m-sequence", None, 4, "m-sequence"),
-         ("m-sequence", "alt", 4, "m-sequence-alt")),
-    19: (("legendre", None, 19, "legendre"),
-         ("legendre-prime", None, 19, "legendre-prime")),
-    23: (("legendre", None, 23, "legendre"),
-         ("legendre-prime", None, 23, "legendre-prime")),
-    31: (("legendre", None, 31, "legendre"),
-         ("legendre-prime", None, 31, "legendre-prime"),
-         ("hall", None, 31, "hall"),
-         ("m-sequence", None, 5, "m-sequence"),
-         ("m-sequence", "alt", 5, "m-sequence-alt")),
-    35: (("twin-prime", None, 5, "twin-prime"),
-         ("twin-prime-tau", None, 5, "twin-prime-tau")),
-    43: (("legendre", None, 43, "legendre"),
-         ("hall", None, 43, "hall")),
-}
+# The bound sweep's slots: the family, variant and parameter that build_family
+# takes.  The sweep pairs the slots of equal base period in this order, which
+# fixes its seeded draws.  A slot's label in a campaign name is its family,
+# plus "-alt" for the alt variant.
+_BOUND_POOL = (
+    ("legendre", None, 7),
+    ("legendre-prime", None, 7),
+    ("m-sequence", None, 3),
+    ("m-sequence", "alt", 3),
+    ("legendre", None, 11),
+    ("legendre-prime", None, 11),
+    ("m-sequence", None, 4),
+    ("m-sequence", "alt", 4),
+    ("legendre", None, 19),
+    ("legendre-prime", None, 19),
+    ("legendre", None, 23),
+    ("legendre-prime", None, 23),
+    ("legendre", None, 31),
+    ("legendre-prime", None, 31),
+    ("hall", None, 31),
+    ("m-sequence", None, 5),
+    ("m-sequence", "alt", 5),
+    ("twin-prime", None, 5),
+    ("twin-prime-tau", None, 5),
+    ("legendre", None, 43),
+    ("hall", None, 43),
+)
 
 
 # Seed of the bound sweep's random group elements, unless one is given.
@@ -507,8 +511,12 @@ def bound_campaigns(seed: int = BOUND_SEED) -> list[CampaignSpec]:
     z_sum) plus autocorrelation optimality and 2-adic maximality.
     """
     rng = random.Random(seed)
+    pools = {}  # base period -> its slots, each with its label
+    for fam, var, param in _BOUND_POOL:
+        label = fam + "-alt" * (var == "alt")
+        pools.setdefault(_family_period(fam, param), []).append((fam, var, param, label))
     specs = []
-    for n, pool in sorted(_BOUND_POOL.items()):
+    for n, pool in sorted(pools.items()):
         units = [s for s in range(1, n) if math.gcd(s, n) == 1]
         for fa, va, pa, label_a in pool:
             for fb, vb, pb, label_b in pool:
@@ -554,26 +562,17 @@ NAMED_CAMPAIGNS = {
 }
 
 
-def named_campaigns(
-    name: str, *, full_s: bool = False, seed: int = BOUND_SEED
-) -> list[CampaignSpec]:
+def named_campaigns(name: str, *, seed: int = BOUND_SEED) -> list[CampaignSpec]:
     """The specs of one named campaign at its default parameters, or of every
-    one in NAMED_CAMPAIGNS order for "all".  full_s reaches the Hall grids of
-    theorem6, theorem7 and remarks, and seed the bound sweep."""
+    one in NAMED_CAMPAIGNS order for "all".  seed reaches the bound sweep."""
     if name == "all":
         return [
-            spec
-            for key in NAMED_CAMPAIGNS
-            for spec in named_campaigns(key, full_s=full_s, seed=seed)
+            spec for key in NAMED_CAMPAIGNS for spec in named_campaigns(key, seed=seed)
         ]
     if name not in NAMED_CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}")
     build = NAMED_CAMPAIGNS[name]
-    if name == "bound":
-        return build(seed=seed)
-    if name in ("theorem6", "theorem7", "remarks"):
-        return build(full_s=full_s)
-    return build()
+    return build(seed=seed) if name == "bound" else build()
 
 
 # ---------------------------------------------------------------------------

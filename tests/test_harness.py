@@ -20,15 +20,20 @@ from seqlc.harness import (
     msequence_campaigns,
     named_campaigns,
     read_sequence,
-    remarks_campaigns,
     results_to_csv,
     results_to_json,
     run_campaigns,
     theorem5_campaigns,
-    theorem6_campaigns,
-    theorem7_campaigns,
 )
-from seqlc.sequences import GroupElement, is_ideal, legendre_seq, m_sequence
+from seqlc.numtheory import legendre_symbol
+from seqlc.sequences import (
+    GroupElement,
+    apply_group,
+    hall_construction,
+    is_ideal,
+    legendre_seq,
+    m_sequence,
+)
 
 
 def _must_not_build(*args, **kwargs):
@@ -368,6 +373,8 @@ class TestNamedCampaigns:
     def test_unknown_keyword_is_rejected(self):
         with pytest.raises(TypeError):
             named_campaigns("theorem6", fulls=True)
+        with pytest.raises(TypeError):
+            named_campaigns("theorem6", full_s=True)
 
     def test_recorded_specs_assert_the_whole_family_claims(self):
         # Outside the LC claim the paper still claims optimal autocorrelation
@@ -416,22 +423,20 @@ class TestNamedCampaigns:
         assert named_campaigns("bound", seed=3) == named_campaigns("bound", seed=3)
         assert named_campaigns("bound", seed=3) != named_campaigns("bound", seed=4)
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda **kw: theorem6_campaigns(ps=(43,), **kw),
-            lambda **kw: theorem7_campaigns(p=43, **kw),
-            lambda **kw: remarks_campaigns(p=31, **kw),
-        ],
-        ids=["theorem6", "theorem7", "remarks"],
-    )
-    def test_full_s_grid_sweeps_every_unit(self, build):
-        default, full = build(), build(full_s=True)
-        p = full[0].param
-        assert {g.s for spec in full for g in spec.grid} == set(range(1, p))
-        full_grids = {spec.name: set(spec.grid) for spec in full}
-        for spec in default:
-            assert set(spec.grid) <= full_grids[spec.name]
+    @pytest.mark.parametrize("p", [31, 43, 283], ids=["p31", "p43", "p283"])
+    def test_hall_grid_point_depends_only_on_the_class_of_s(self, p):
+        # Why a Hall grid takes one s per cyclotomic class: every other unit
+        # of the class gives the same sequence and the same Legendre symbol.
+        h, classes = hall_construction(p)
+        reps = {s: min(cls) for cls in classes.classes for s in cls}
+        assert sorted(reps) == list(range(1, p))
+        assert harness._hall_s_reps(p) == sorted(set(reps.values()))
+        for s, rep in reps.items():
+            for r in (0, 1):
+                assert apply_group(h, GroupElement(r, s)) == apply_group(
+                    h, GroupElement(r, rep)
+                ), (r, s)
+            assert legendre_symbol(s, p) == legendre_symbol(rep, p), s
 
     def test_bound_pool_size(self):
         specs = named_campaigns("bound")
@@ -491,6 +496,16 @@ class TestCli:
                 None,
                 "characteristic polynomial 31 is not primitive",
             ),
+            (
+                ["gen", "m-sequence", "--l", "2", "--variant", "alt"],
+                None,
+                "m-sequence degree 2 has no second primitive polynomial",
+            ),
+            (
+                ["verify", "msequence", "--p", "3"],
+                None,
+                "campaign msequence has no grid at that parameter",
+            ),
         ],
         ids=[
             "gen-no-p", "msequence-no-l", "verify-no-grid", "variant-not-msequence",
@@ -501,6 +516,7 @@ class TestCli:
             "report-point-r-string", "report-json-not-a-report",
             "report-nested-too-deep", "verify-p-and-l",
             "msequence-bad-variant", "msequence-not-primitive",
+            "msequence-no-alt", "verify-p-on-msequence",
         ],
     )
     def test_bad_input_is_one_line_error(
@@ -612,6 +628,18 @@ class TestCli:
         assert "theorem5-p7" in names
         err = capsys.readouterr().err
         assert "pass theorem5-p7" in err
+
+    def test_verify_p_and_l_select_their_own_families(self, capsys):
+        # --l keys the m-sequence grids and --p every other grid.
+        assert main(["verify", "msequence", "--l", "3", "--format", "csv"]) == 0
+        assert capsys.readouterr().err == (
+            "pass msequence-l3-same-poly (6 pairs)\n"
+            "pass msequence-l3-distinct-poly (7 pairs)\n"
+        )
+        assert main(["verify", "all", "--p", "5", "--format", "csv"]) == 0
+        names = [line.split()[1] for line in capsys.readouterr().err.splitlines()]
+        assert names and all("-p5-" in name or "-n35-" in name for name in names)
+        assert not any("m-sequence" in name or "msequence" in name for name in names)
 
     @pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
     def test_verify_rejects_jobs_out_of_range(self, capsys, jobs):
