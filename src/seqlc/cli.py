@@ -128,10 +128,14 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"--jobs must be between 1 and {cpus}")
     specs = harness.named_campaigns(args.campaign, seed=args.seed)
     if args.p is not None or args.l is not None:
-        # --l keys the m-sequence grids and --p the others, as in gen.
+        # --l keys the m-sequence slots and --p the others, as in gen; a spec
+        # is selected by either of its two slots.
         specs = [
             s for s in specs
-            if s.param == (args.l if s.family_a == "m-sequence" else args.p)
+            if any(
+                param == (args.l if family == "m-sequence" else args.p)
+                for family, param in ((s.family_a, s.param), (s.family_b, s.param_b))
+            )
         ]
         if not specs:
             raise ValueError(f"campaign {args.campaign} has no grid at that parameter")

@@ -187,6 +187,16 @@ class LCReport:
             bad.append("attains_max disagrees with z_sum")
         if self.attains_max != (self.lc_formula == ceiling):
             bad.append("attains_max disagrees with the LC ceiling")
+        # Two identities of any binary w of period N = 4n: the profile counts
+        # the N - 1 nonzero shifts, and the sum of A over them is
+        # (N - 2|w|)^2 - N.
+        N = 4 * self.n
+        shifts = sum(self.autocorr_values.values())
+        if shifts != N - 1:
+            bad.append(f"autocorrelation profile counts {shifts} shifts, not {N - 1}")
+        square = sum(v * c for v, c in self.autocorr_values.items()) + N
+        if square < 0 or math.isqrt(square) ** 2 != square:
+            bad.append(f"autocorrelation sum plus N is {square}, not a square")
         return bad
 
 

@@ -11,7 +11,10 @@ analyze_pair accepts; so the JSON report's "asserted" and the expectation's
 "optimal_autocorr" and "two_adic_max" are always true, kept for the report
 format.  Grid points run independently (optionally in parallel) and
 aggregate in lexicographic (r, s) order, so identical specs produce
-identical reports.
+identical reports.  Each distinct point, the same two base slots (family,
+parameter, variant) under the same (r, s), is analyzed once per run however
+many campaigns repeat it, as the twoadic sweep repeats all of its points,
+and that one report is checked against the claim of every repeat.
 
 The named campaigns wired into the CLI cover every quantitative claim the
 library reproduces: Legendre pairs, m-sequence pairs sharing or not
@@ -30,7 +33,7 @@ import operator
 import random
 import time
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 
 from .complexity import LCReport, analyze_pair
 from .numtheory import legendre_symbol
@@ -237,30 +240,91 @@ _REPORT_SCALARS = operator.attrgetter(
 )
 
 
-def _run_point(base_a, base_b, sigma, expectation, reports):
-    """One grid point.  Its report is interned in reports, keyed by content,
-    so every point of a run or slice with an equal report shares one object."""
+def _run_input(base_a, base_b, sigma, expectations, reports):
+    """One distinct input, analyzed once: one PairResult per point that
+    repeats it, checked against that point's expectation.  The report is
+    interned in reports, keyed by content, so every point of a run or slice
+    with an equal report shares one object."""
     try:
         report = analyze_pair(base_a, base_b, sigma)
     except ValueError as exc:  # a rejected point is a row; anything else is a defect
-        return PairResult(
+        return [PairResult(
             r=sigma.r, s=sigma.s, report=None, failures=("construction error",),
             error=f"{type(exc).__name__}: {exc}",
-        )
+        )] * len(expectations)
     key = (_REPORT_SCALARS(report), tuple(sorted(report.autocorr_values.items())))
     report = reports.setdefault(key, report)
-    failures = report.consistency_failures() + expectation.check(report)
-    return PairResult(r=sigma.r, s=sigma.s, report=report, failures=tuple(failures))
+    consistency = report.consistency_failures()
+    return [
+        PairResult(r=sigma.r, s=sigma.s, report=report,
+                   failures=tuple(consistency + expectation.check(report)))
+        for expectation in expectations
+    ]
 
 
 def _run_slice(*columns):
-    """One pool task: a contiguous slice of points with its own intern dict,
-    so the pickled result carries each distinct report once."""
-    return list(map(_run_point, *columns, repeat({})))
+    """One pool task: a contiguous slice of distinct inputs with its own
+    intern dict, so the pickled result carries each distinct report once."""
+    return list(chain.from_iterable(map(_run_input, *columns, repeat({}))))
 
 
-def _regroup(specs, points) -> list[CampaignResult]:
-    """Cut the flat point stream into one CampaignResult per spec, in order."""
+def _distinct_inputs(specs):
+    """The run's distinct inputs, and where each point's result lies.
+
+    An input is keyed by plain fields, its spec's two slots and (r, s),
+    since GroupElement hashes in Python.  Inputs are numbered by their first
+    point, in spec order and (r, s) order within a spec.  Returns the columns
+    of _run_input, one row per input, the expectations of its points in
+    order; per point, its place in the concatenated results of all inputs;
+    and per input, its first point, closed by the number of points.
+    """
+    numbers, bases_a, bases_b, sigmas, expectations, firsts = {}, [], [], [], [], []
+    point_inputs, nths = [], []
+    for spec in specs:
+        base_a = build_family(spec.family_a, spec.param, spec.variant_a)
+        base_b = build_family(spec.family_b, spec.param_b, spec.variant_b)
+        slots = ((spec.family_a, spec.param, spec.variant_a),
+                 (spec.family_b, spec.param_b, spec.variant_b))
+        for sigma in sorted(spec.grid, key=lambda g: (g.r, g.s)):
+            i = numbers.setdefault((slots, sigma.r, sigma.s), len(numbers))
+            if i == len(sigmas):
+                bases_a.append(base_a)
+                bases_b.append(base_b)
+                sigmas.append(sigma)
+                expectations.append([])
+                firsts.append(len(point_inputs))
+            point_inputs.append(i)
+            nths.append(len(expectations[i]))
+            expectations[i].append(spec.expectation)
+    firsts.append(len(point_inputs))
+    # Input i's results start after those of the inputs before it.
+    starts = list(accumulate(map(len, expectations), initial=0))
+    return (
+        (bases_a, bases_b, sigmas, expectations),
+        list(map(operator.add, map(starts.__getitem__, point_inputs), nths)),
+        firsts,
+    )
+
+
+def _in_point_order(parts, slots, bounds):
+    """Per part, the points it completes, as a list in point order.
+
+    parts yields the results of consecutive distinct inputs, input by input
+    and each input's points in order.  slots[p] is where point p's result
+    lies in their concatenation, and bounds[k] the first point whose input
+    is not in parts 0 .. k - 1: an input is numbered by its first point, so
+    every point before that one belongs to an input that has arrived.
+    """
+    results = []
+    for part, lo, hi in zip(parts, bounds, bounds[1:]):
+        results += part
+        yield list(map(results.__getitem__, slots[lo:hi]))
+
+
+def _regroup(specs, blocks) -> list[CampaignResult]:
+    """Cut the point stream, lists of points in point order, into one
+    CampaignResult per spec, in order."""
+    points = chain.from_iterable(blocks)
     results, t0 = [], time.perf_counter()
     for spec in specs:
         pts = tuple(islice(points, len(spec.grid)))
@@ -277,11 +341,16 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
     spec's expectation: the LC claim, if any, optimal autocorrelation and
     2-adic maximality.  A campaign passes when all its points pass.
 
+    Each distinct input, keyed by the spec's two slots and (r, s), is
+    analyzed once per run at any jobs, and its one report is checked against
+    the expectation of every point that repeats it.
+
     Grids run in (r, s) order and regroup per spec in spec order, so results
-    do not depend on jobs.  At jobs 1 the points stream into the regrouping
-    one at a time and share one intern dict, so each distinct report is one
-    object.  At jobs > 1 the flat point list is cut into contiguous slices of
-    ceil(points / (4 * jobs)), about four per worker, and each slice is one
+    do not depend on jobs.  At jobs 1 the distinct inputs run one at a time,
+    each passing its points on to the regrouping as soon as it is done, and
+    share one intern dict, so each distinct report is one object.  At
+    jobs > 1 the distinct inputs are cut into contiguous slices of
+    ceil(inputs / (4 * jobs)), about four per worker, and each slice is one
     pool task with its own intern dict: a slice may cut across campaigns,
     each one costs a round trip through the executor's threads in this
     process, and pickling sends each of its distinct reports once, so the run
@@ -291,30 +360,27 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
     wall_time_s runs from the previous campaign's last point to this
     campaign's last point.  At jobs > 1 it is the gap between arrivals, so a
     campaign that finishes inside another campaign's slice reads close to 0.
+    A campaign made only of repeats of earlier points computes nothing, so
+    it reads about 0 at any jobs.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    bases_a, bases_b, sigmas, expectations = [], [], [], []
-    for spec in specs:
-        base_a = build_family(spec.family_a, spec.param, spec.variant_a)
-        base_b = build_family(spec.family_b, spec.param_b, spec.variant_b)
-        k = len(spec.grid)
-        bases_a += [base_a] * k
-        bases_b += [base_b] * k
-        sigmas += sorted(spec.grid, key=lambda g: (g.r, g.s))
-        expectations += [spec.expectation] * k
-    columns = (bases_a, bases_b, sigmas, expectations)
-    if jobs > 1:
-        # Imported here, not at the top: the import loads multiprocessing,
-        # which a jobs-1 run and every other command would pay for nothing.
-        from concurrent.futures import ProcessPoolExecutor
+    columns, slots, firsts = _distinct_inputs(specs)
+    if jobs == 1:
+        parts = map(_run_input, *columns, repeat({}))
+        return _regroup(specs, _in_point_order(parts, slots, firsts))
+    # Imported here, not at the top: the import loads multiprocessing, which
+    # a jobs-1 run and every other command would pay for nothing.
+    from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, math.ceil(len(sigmas) / (4 * jobs)))  # a range step >= 1
-        cuts = range(0, len(sigmas), chunk)
-        slices = ([col[i:i + chunk] for i in cuts] for col in columns)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return _regroup(specs, chain.from_iterable(pool.map(_run_slice, *slices)))
-    return _regroup(specs, map(_run_point, *columns, repeat({})))
+    inputs = len(columns[0])
+    chunk = max(1, math.ceil(inputs / (4 * jobs)))  # a range step >= 1
+    cuts = range(0, inputs, chunk)
+    slices = ([col[i:i + chunk] for i in cuts] for col in columns)
+    bounds = firsts[:-1:chunk] + firsts[-1:]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        parts = pool.map(_run_slice, *slices)
+        return _regroup(specs, _in_point_order(parts, slots, bounds))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,7 @@ from seqlc.numtheory import legendre_symbol
 from seqlc.sequences import (
     GroupElement,
     apply_group,
+    autocorrelation,
     hall_construction,
     is_ideal,
     legendre_seq,
@@ -285,9 +287,101 @@ class TestRunCampaign:
             grid=(GroupElement(1, 1), GroupElement(2, 1), GroupElement(3, 1)),
             expectation=Expectation(),
         )
-        results = run_campaigns([spec, dataclasses.replace(spec, name="again")], jobs=1)
+        again = dataclasses.replace(
+            spec, name="again",
+            grid=(GroupElement(4, 1), GroupElement(5, 1), GroupElement(6, 1)),
+        )
+        results = run_campaigns([spec, again], jobs=1)
         assert [len(res.points) for res in results] == [3, 3]
         assert all(res.wall_time_s >= 0.006 for res in results)
+
+    def test_repeated_points_are_analyzed_once(self, monkeypatch):
+        calls = []
+        analyze = harness.analyze_pair
+
+        def counting(*args):
+            calls.append(args)
+            return analyze(*args)
+
+        monkeypatch.setattr(harness, "analyze_pair", counting)
+        specs = theorem5_campaigns(ps=(7,))
+        first = run_campaigns(specs, jobs=1)
+        assert len(calls) == 7
+        del calls[:]
+        twins = [dataclasses.replace(s, name="twoadic-" + s.name) for s in specs]
+        results = run_campaigns(specs + twins, jobs=1)
+        assert len(calls) == 7  # the twins make no call
+        assert [res.points for res in results] == [res.points for res in first] * 2
+
+    def test_one_report_checked_against_each_repeat(self):
+        asserted = CampaignSpec(
+            name="asserted",
+            family_a="legendre",
+            family_b="legendre-prime",
+            param=7,
+            grid=(GroupElement(1, 1),),
+            expectation=Expectation(lc_exact=99),
+        )
+        recorded = dataclasses.replace(asserted, name="recorded", expectation=Expectation())
+        for jobs in (1, 2):
+            bad, good = run_campaigns([asserted, recorded], jobs=jobs)
+            assert bad.points[0].failures == ("LC 16 != expected 99",)
+            assert not bad.passed and good.passed
+            assert bad.points[0].report is good.points[0].report
+
+    def test_repeated_construction_error_repeats_its_row(self):
+        # s = 7 is not a unit mod 7, here asserted and recorded, twice each.
+        spec = CampaignSpec(
+            name="rejected",
+            family_a="legendre",
+            family_b="legendre-prime",
+            param=7,
+            grid=(GroupElement(1, 7), GroupElement(2, 1)),
+            expectation=Expectation(lc_exact=16),
+        )
+        specs = [spec, dataclasses.replace(spec, name="again", expectation=Expectation())]
+        for jobs in (1, 2):
+            rows = [res.points[0] for res in run_campaigns(specs * 2, jobs=jobs)]
+            assert rows[0].error.startswith("ValueError: ")
+            assert rows[0].report is None
+            assert rows == [rows[0]] * 4
+
+    def test_parallel_equals_serial_with_repeats(self):
+        # Repeats inside a slice, across slices, and of a campaign cut by a slice.
+        small = theorem5_campaigns(ps=(7, 11)) + msequence_campaigns(ls=(3,))
+        specs = (
+            small
+            + [dataclasses.replace(s, name=s.name + "-again") for s in reversed(small)]
+            + theorem5_campaigns(ps=(19,))
+            + [dataclasses.replace(small[2], name="cut", grid=small[2].grid[3:7])]
+        )
+        serial = run_campaigns(specs, jobs=1)
+        parallel = run_campaigns(specs, jobs=2)
+        assert [res.spec for res in parallel] == specs
+        assert [res.points for res in parallel] == [res.points for res in serial]
+        assert [res.points for res in serial] == [
+            run_campaigns([spec])[0].points for spec in specs
+        ]
+
+    @pytest.mark.parametrize(
+        "profile",
+        [
+            lambda w: dict(Counter(autocorrelation(w, t) for t in range(1, w.period - 1))),
+            lambda w: {-4: w.period - 1},
+        ],
+        ids=["one-shift-short", "always-optimal"],
+    )
+    def test_profile_identities_catch_an_optimal_looking_profile(self, monkeypatch, profile):
+        # Both mutants give only the values 0 and -4, which the expectation
+        # accepts, so only the profile's two identities can catch them.
+        specs = theorem5_campaigns(ps=(7,))
+        assert all(res.passed for res in run_campaigns(specs, jobs=1))
+        monkeypatch.setattr(complexity, "autocorrelation_profile", profile)
+        points = [pt for res in run_campaigns(specs, jobs=1) for pt in res.points]
+        assert points and not any(pt.passed for pt in points)
+        assert all(
+            fail.startswith("autocorrelation ") for pt in points for fail in pt.failures
+        )
 
     def test_empty_batch(self):
         assert run_campaigns([], jobs=2) == []
@@ -396,7 +490,10 @@ class TestNamedCampaigns:
         # An LC-free campaign still asserts optimal autocorrelation.
         spec = next(s for s in theorem5_campaigns(ps=(7,)) if s.name.endswith("recorded"))
         assert spec.expectation == Expectation()
-        monkeypatch.setattr(complexity, "autocorrelation_profile", lambda w: {-4: 3, 4: 2})
+        # 27 shifts, and -16 + 28 is a square: the profile identities hold.
+        monkeypatch.setattr(
+            complexity, "autocorrelation_profile", lambda w: {0: 22, -4: 4, 4: 1}
+        )
         res = run_campaigns([spec], jobs=1)[0]
         assert not res.passed
         assert res.points[0].failures == ("autocorrelation values outside {0, -4}: [4]",)
@@ -640,6 +737,18 @@ class TestCli:
         names = [line.split()[1] for line in capsys.readouterr().err.splitlines()]
         assert names and all("-p5-" in name or "-n35-" in name for name in names)
         assert not any("m-sequence" in name or "msequence" in name for name in names)
+
+    @pytest.mark.parametrize(
+        "flag, param, period, selected",
+        [("--p", 31, 31, 21), ("--l", 5, 31, 16), ("--p", 7, 7, 12), ("--l", 3, 7, 12)],
+    )
+    def test_verify_bound_selects_by_either_slot(self, capsys, flag, param, period, selected):
+        # A cross-family bound pair answers to the key of either slot; only
+        # the pairs of two slots of the other key are left out.
+        assert main(["verify", "bound", flag, str(param), "--format", "csv"]) == 0
+        names = [line.split()[1] for line in capsys.readouterr().err.splitlines()]
+        assert len(names) == selected
+        assert all(name.startswith(f"bound-n{period}-") for name in names)
 
     @pytest.mark.parametrize("jobs", [0, (os.cpu_count() or 1) + 1])
     def test_verify_rejects_jobs_out_of_range(self, capsys, jobs):
