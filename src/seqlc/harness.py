@@ -11,10 +11,8 @@ analyze_pair accepts; so the JSON report's "asserted" and the expectation's
 "optimal_autocorr" and "two_adic_max" are always true, kept for the report
 format.  Grid points run independently (optionally in parallel) and
 aggregate in lexicographic (r, s) order, so identical specs produce
-identical reports.  Each distinct point, the same two base slots (family,
-parameter, variant) under the same (r, s), is analyzed once per run however
-many campaigns repeat it, as the twoadic sweep repeats all of its points,
-and that one report is checked against the claim of every repeat.
+identical reports.  Each distinct point (two base slots and one (r, s)) is
+analyzed once per run, and its report checked against every repeat's claim.
 
 The named campaigns wired into the CLI cover every quantitative claim the
 library reproduces: Legendre pairs, m-sequence pairs sharing or not
@@ -241,10 +239,10 @@ _REPORT_SCALARS = operator.attrgetter(
 
 
 def _run_input(base_a, base_b, sigma, expectations, reports):
-    """One distinct input, analyzed once: one PairResult per point that
-    repeats it, checked against that point's expectation.  The report is
-    interned in reports, keyed by content, so every point of a run or slice
-    with an equal report shares one object."""
+    """One distinct input, analyzed once: a PairResult per expectation, one
+    per point of the input.  The report is interned in reports, keyed by
+    content, so every point of a run or slice with an equal report shares
+    one object."""
     try:
         report = analyze_pair(base_a, base_b, sigma)
     except ValueError as exc:  # a rejected point is a row; anything else is a defect
@@ -269,24 +267,20 @@ def _run_slice(*columns):
 
 
 def _distinct_inputs(specs):
-    """The run's distinct inputs, and where each point's result lies.
-
-    An input is keyed by plain fields, its spec's two slots and (r, s),
-    since GroupElement hashes in Python.  Inputs are numbered by their first
-    point, in spec order and (r, s) order within a spec.  Returns the columns
-    of _run_input, one row per input, the expectations of its points in
-    order; per point, its place in the concatenated results of all inputs;
-    and per input, its first point, closed by the number of points.
-    """
+    """(columns, places, firsts): _run_input's columns, one row per distinct
+    input in order of first point; per point, the index of its result in
+    the inputs' results laid end to end; and per input, its first point,
+    then the number of points.  An input is keyed by plain fields, as
+    GroupElement hashes in Python."""
     numbers, bases_a, bases_b, sigmas, expectations, firsts = {}, [], [], [], [], []
     point_inputs, nths = [], []
     for spec in specs:
         base_a = build_family(spec.family_a, spec.param, spec.variant_a)
         base_b = build_family(spec.family_b, spec.param_b, spec.variant_b)
-        slots = ((spec.family_a, spec.param, spec.variant_a),
-                 (spec.family_b, spec.param_b, spec.variant_b))
+        pair = ((spec.family_a, spec.param, spec.variant_a),
+                (spec.family_b, spec.param_b, spec.variant_b))
         for sigma in sorted(spec.grid, key=lambda g: (g.r, g.s)):
-            i = numbers.setdefault((slots, sigma.r, sigma.s), len(numbers))
+            i = numbers.setdefault((pair, sigma.r, sigma.s), len(numbers))
             if i == len(sigmas):
                 bases_a.append(base_a)
                 bases_b.append(base_b)
@@ -306,24 +300,20 @@ def _distinct_inputs(specs):
     )
 
 
-def _in_point_order(parts, slots, bounds):
-    """Per part, the points it completes, as a list in point order.
-
-    parts yields the results of consecutive distinct inputs, input by input
-    and each input's points in order.  slots[p] is where point p's result
-    lies in their concatenation, and bounds[k] the first point whose input
-    is not in parts 0 .. k - 1: an input is numbered by its first point, so
-    every point before that one belongs to an input that has arrived.
-    """
+def _in_point_order(parts, places, bounds):
+    """Per part, the results of consecutive inputs, the points it completes
+    in point order.  bounds[k] is the first point of part k's first input,
+    and the last bound the number of points: every point before bounds[k + 1]
+    belongs to an input in parts 0 .. k."""
     results = []
     for part, lo, hi in zip(parts, bounds, bounds[1:]):
         results += part
-        yield list(map(results.__getitem__, slots[lo:hi]))
+        yield list(map(results.__getitem__, places[lo:hi]))
 
 
 def _regroup(specs, blocks) -> list[CampaignResult]:
-    """Cut the point stream, lists of points in point order, into one
-    CampaignResult per spec, in order."""
+    """Cut the point stream, given as lists, into one CampaignResult per
+    spec, in order."""
     points = chain.from_iterable(blocks)
     results, t0 = [], time.perf_counter()
     for spec in specs:
@@ -365,10 +355,10 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    columns, slots, firsts = _distinct_inputs(specs)
+    columns, places, firsts = _distinct_inputs(specs)
     if jobs == 1:
         parts = map(_run_input, *columns, repeat({}))
-        return _regroup(specs, _in_point_order(parts, slots, firsts))
+        return _regroup(specs, _in_point_order(parts, places, firsts))
     # Imported here, not at the top: the import loads multiprocessing, which
     # a jobs-1 run and every other command would pay for nothing.
     from concurrent.futures import ProcessPoolExecutor
@@ -380,7 +370,7 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
     bounds = firsts[:-1:chunk] + firsts[-1:]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         parts = pool.map(_run_slice, *slices)
-        return _regroup(specs, _in_point_order(parts, slots, bounds))
+        return _regroup(specs, _in_point_order(parts, places, bounds))
 
 
 # ---------------------------------------------------------------------------
