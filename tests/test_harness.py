@@ -307,7 +307,7 @@ class TestRunCampaign:
         specs = theorem5_campaigns(ps=(7,))
         first = run_campaigns(specs, jobs=1)
         assert len(calls) == 7
-        del calls[:]
+        calls.clear()
         twins = [dataclasses.replace(s, name="twoadic-" + s.name) for s in specs]
         results = run_campaigns(specs + twins, jobs=1)
         assert len(calls) == 7  # the twins make no call
