@@ -58,10 +58,14 @@ FAMILIES = (
 CSV_HEADER = (
     "n,r,s,lc_direct,lc_bm,lc_formula,z_ab,z_sum,attains_max,two_adic_max"
 )
-_CSV_FIELDS = operator.itemgetter(*CSV_HEADER.split(","))
+# The CSV fields a report gives, in header order: all but r and s.
+_CSV_REPORT_FIELDS = tuple(f for f in CSV_HEADER.split(",") if f not in ("r", "s"))
+_REPORT_CSV = operator.attrgetter(*_CSV_REPORT_FIELDS)
+_JSON_CSV = operator.itemgetter(*_CSV_REPORT_FIELDS)
 _FLAGS = ("false", "true")  # a bool as the CSV and the JSON spell it
-# The exact type of each CSV field, so that no bool passes as a number.
-_CSV_TYPES = (int,) * 8 + (bool, bool)
+# The exact type of each of those fields, so that no bool passes as a number.
+_CSV_REPORT_TYPES = (int,) * 6 + (bool, bool)
+_CSV_TYPE_ERROR = "CSV numbers must be ints and CSV flags bools"
 
 # Largest period a family parameter or a sequence file may give.  The kernels
 # are O(N^2), and a pair's interleaving has N = 4 * period, so larger inputs
@@ -271,14 +275,17 @@ def _distinct_inputs(specs):
     input in order of first point; per point, the index of its result in
     the inputs' results laid end to end; and per input, its first point,
     then the number of points.  An input is keyed by plain fields, as
-    GroupElement hashes in Python."""
+    GroupElement hashes in Python.  Each base slot is built once, at the
+    first spec that names it."""
     numbers, bases_a, bases_b, sigmas, expectations, firsts = {}, [], [], [], [], []
-    point_inputs, nths = [], []
+    point_inputs, nths, bases = [], [], {}
     for spec in specs:
-        base_a = build_family(spec.family_a, spec.param, spec.variant_a)
-        base_b = build_family(spec.family_b, spec.param_b, spec.variant_b)
         pair = ((spec.family_a, spec.param, spec.variant_a),
                 (spec.family_b, spec.param_b, spec.variant_b))
+        for slot in pair:
+            if slot not in bases:
+                bases[slot] = build_family(*slot)
+        base_a, base_b = map(bases.__getitem__, pair)
         for sigma in sorted(spec.grid, key=lambda g: (g.r, g.s)):
             i = numbers.setdefault((pair, sigma.r, sigma.s), len(numbers))
             if i == len(sigmas):
@@ -708,41 +715,70 @@ def results_to_json(results: list[CampaignResult]) -> str:
     return "".join(out)
 
 
-def _csv(rows) -> str:
-    """The CSV report: the header, then one line per mapping in rows."""
+def _checked(fields: tuple) -> tuple:
+    """A report's CSV fields, in _CSV_REPORT_FIELDS order, once their types are
+    checked."""
+    if tuple(map(type, fields)) != _CSV_REPORT_TYPES:
+        raise TypeError(_CSV_TYPE_ERROR)
+    return fields
+
+
+def _report_text(fields: tuple) -> tuple[int, str]:
+    """n and the CSV text after s of a report's checked fields."""
+    n, *numbers, attains, two_adic = fields
+    return n, ",".join([*map(str, numbers), _FLAGS[attains], _FLAGS[two_adic]])
+
+
+def _csv(rows, text_of) -> str:
+    """The CSV report: the header, then one line per row (r, s, report), with
+    text_of(report) the report's _report_text."""
     lines = [CSV_HEADER]
-    for fields in rows:
-        values = _CSV_FIELDS(fields)
-        if tuple(map(type, values)) != _CSV_TYPES:
-            raise TypeError("CSV numbers must be ints and CSV flags bools")
-        *numbers, attains, two_adic = values
-        lines.append(
-            ",".join([*map(str, numbers), _FLAGS[attains], _FLAGS[two_adic]])
-        )
+    for r, s, report in rows:
+        if type(r) is not int or type(s) is not int:
+            raise TypeError(_CSV_TYPE_ERROR)
+        n, rest = text_of(report)
+        lines.append(f"{n},{r},{s},{rest}")
     return "\n".join(lines) + "\n"
 
 
 def results_to_csv(results: list[CampaignResult]) -> str:
+    """The CSV report.  Each report object is formatted once, keyed by its
+    identity, as results_to_json dumps it once."""
+    texts = {}  # id(report) -> its _report_text
+
+    def text_of(report):
+        if (text := texts.get(id(report))) is None:
+            text = texts[id(report)] = _report_text(_checked(_REPORT_CSV(report)))
+        return text
+
     return _csv(
-        {**vars(pt.report), **vars(pt)}
-        for res in results
-        for pt in res.points
-        if pt.report is not None
+        ((pt.r, pt.s, pt.report) for res in results for pt in res.points
+         if pt.report is not None),
+        text_of,
     )
 
 
 def json_to_csv(text: str) -> str:
-    """Convert emitted JSON back to the CSV schema (round-trip identity)."""
+    """Convert emitted JSON back to the CSV schema (round-trip identity).
+    Each distinct report's fields are formatted once, keyed by value after
+    the type check: True == 1, and both hash alike."""
     try:
         payload = json.loads(text)
     except RecursionError:  # nested deeper than the decoder's stack
         raise ValueError("not a seqlc JSON report") from None
+    texts = {}  # checked fields -> their _report_text
+
+    def text_of(report):
+        fields = _checked(_JSON_CSV(report))
+        if (text := texts.get(fields)) is None:
+            text = texts[fields] = _report_text(fields)
+        return text
+
     try:
         return _csv(
-            {**pt["report"], **pt}
-            for camp in payload["campaigns"]
-            for pt in camp["points"]
-            if pt["report"] is not None
+            ((pt["r"], pt["s"], pt["report"]) for camp in payload["campaigns"]
+             for pt in camp["points"] if pt["report"] is not None),
+            text_of,
         )
     except KeyError as exc:
         raise ValueError(f"report has no field {exc.args[0]!r}") from None

@@ -9,8 +9,9 @@ from collections import Counter
 
 import pytest
 
-from seqlc import cli, complexity, harness
+from seqlc import cli, complexity, harness, sequences
 from seqlc.cli import main
+from seqlc.f2poly import gcd
 from seqlc.harness import (
     CSV_HEADER,
     CampaignSpec,
@@ -26,16 +27,20 @@ from seqlc.harness import (
     run_campaigns,
     theorem5_campaigns,
 )
+from seqlc.interleave import interleave4
 from seqlc.numtheory import legendre_symbol
 from seqlc.sequences import (
     GroupElement,
     apply_group,
     autocorrelation,
+    complement,
     hall_construction,
     is_ideal,
     legendre_seq,
     m_sequence,
+    shift,
 )
+from test_complexity import list_berlekamp_massey
 
 
 def _must_not_build(*args, **kwargs):
@@ -62,6 +67,54 @@ def theorem5_p7_payload(point=(), **report):
     first["report"].update(report)
     return payload
 
+
+
+def tang_ding_mutant(step=0, flip=True, swap=False):
+    """w(a, b) with m + step in place of m, with or without the complement
+    of the last column, and with or without columns 1 and 3 swapped."""
+    def build(a, b):
+        m = (a.period + 1) // 4 + step
+        last = complement(b) if flip else b
+        columns = [a, shift(b, m), shift(a, 2 * m), shift(last, 3 * m)]
+        if swap:
+            columns[1], columns[3] = columns[3], columns[1]
+        return interleave4(*columns)
+    return build
+
+
+def z_sets_over_x_n_plus_1(a, b):
+    """z_set_sizes with x^n + 1 in place of 1 + x + ... + x^(n-1)."""
+    g_sum = gcd(a.mask ^ b.mask, (1 << a.period) | 1)
+    return gcd(a.mask, g_sum).bit_length() - 1, g_sum.bit_length() - 1
+
+
+def profile_wrong_at_tau_1(w):
+    """The profile with A(1), and so its mirror A(N - 1), read 4 too low, as a
+    kernel that reads the wrong shift at the start of a block would."""
+    profile = Counter(sequences.autocorrelation_profile(w))
+    a1 = autocorrelation(w, 1)
+    profile[a1] -= 2
+    profile[a1 - 4] += 2
+    return {v: c for v, c in profile.items() if c}
+
+
+# One wrong function of analyze_pair each, by the name complexity calls it.
+# Every one can fail on the paper's inputs; a 2-adic verdict or an is_ideal
+# that is always true cannot, as the true verdicts are all true there.
+MUTANTS = {
+    "tang-ding-m-plus-1": ("tang_ding", tang_ding_mutant(step=1)),
+    "tang-ding-no-complement": ("tang_ding", tang_ding_mutant(flip=False)),
+    "tang-ding-columns-1-3-swapped": ("tang_ding", tang_ding_mutant(swap=True)),
+    "bm-over-n-terms": ("lc_berlekamp_massey", lambda w: list_berlekamp_massey(list(w.bits))),
+    "lc-gcd-modulo-x-n": (
+        "lc_gcd", lambda w: w.period + 1 - gcd(w.mask, 1 << w.period).bit_length()
+    ),
+    "z-sets-over-x-n-plus-1": ("z_set_sizes", z_sets_over_x_n_plus_1),
+    "two-adic-gcd-with-2-n-plus-1": (
+        "two_adic_max", lambda w: math.gcd(w.mask, (1 << w.period) + 1) == 1
+    ),
+    "profile-wrong-at-tau-1": ("autocorrelation_profile", profile_wrong_at_tau_1),
+}
 
 class TestSequenceIO:
     def test_round_trip(self, tmp_path):
@@ -195,6 +248,32 @@ class TestRunCampaign:
         info = is_ideal.cache_info()
         assert info.misses == bases
         assert info.hits == 2 * len(grid) - bases
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The slots build_family is called with, in call order."""
+        slots = []
+
+        def recording(*slot):
+            slots.append(slot)
+            return build_family(*slot)
+
+        monkeypatch.setattr(harness, "build_family", recording)
+        return slots
+
+    def test_each_base_slot_is_built_once_per_run(self, built):
+        run_campaigns(theorem5_campaigns(ps=(7,)) + msequence_campaigns(ls=(3,)), jobs=1)
+        assert built == [
+            ("legendre", 7, None), ("legendre-prime", 7, None),
+            ("m-sequence", 3, None), ("m-sequence", 3, "alt"),
+        ]
+
+    def test_a_bad_slot_raises_at_its_first_spec(self, built):
+        good = theorem5_p7()
+        bad = dataclasses.replace(good, name="bad", family_b="legendre", param_b=9)
+        with pytest.raises(ValueError, match="^9 is not a prime congruent to 3 mod 4$"):
+            run_campaigns([good, bad, bad], jobs=1)
+        assert built == [("legendre", 7, None), ("legendre-prime", 7, None), ("legendre", 9, None)]
 
     def test_grid_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -383,6 +462,17 @@ class TestRunCampaign:
             fail.startswith("autocorrelation ") for pt in points for fail in pt.failures
         )
 
+    @pytest.mark.parametrize("name", MUTANTS)
+    def test_verify_catches_each_mutant(self, monkeypatch, name):
+        # 20 points: Legendre p = 7 and m-sequence l = 3.  The 2-adic mutant
+        # fails one of them (123 of the 3016 points with n <= 143), the z-set
+        # mutant only the m-sequence ones, and BM over N terms none of the
+        # same-polynomial ones.
+        specs = theorem5_campaigns(ps=(7,)) + msequence_campaigns(ls=(3,))
+        assert all(res.passed for res in run_campaigns(specs, jobs=1))
+        monkeypatch.setattr(complexity, *MUTANTS[name])
+        assert any(not pt.passed for res in run_campaigns(specs, jobs=1) for pt in res.points)
+
     def test_empty_batch(self):
         assert run_campaigns([], jobs=2) == []
         assert run_campaigns([], jobs=1) == []
@@ -440,6 +530,30 @@ class TestEmission:
             for camp in payload["campaigns"]:
                 camp.pop("wall_time_s")
         assert first == second
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("attains_max", 1), ("two_adic_max", 1), ("z_ab", False), ("z_sum", False)],
+    )
+    def test_json_csv_checks_a_repeated_report_at_every_row(self, field, value):
+        # Every point of theorem5_p7 has an equal report, with attains_max and
+        # two_adic_max true and both z-sets 0.  Each value above equals the
+        # one it replaces, and hashes alike, so the last point's lookup would
+        # find the first point's text if it came before the type check.
+        payload = theorem5_p7_payload()
+        points = payload["campaigns"][0]["points"]
+        assert all(pt["report"] == points[0]["report"] for pt in points)
+        points[-1]["report"][field] = value
+        with pytest.raises(ValueError, match="^not a seqlc JSON report$"):
+            json_to_csv(json.dumps(payload))
+
+    @pytest.mark.parametrize("field", ["r", "s"])
+    def test_results_csv_checks_r_and_s_at_every_row(self, field):
+        res = run_campaigns([theorem5_p7()])[0]
+        last = dataclasses.replace(res.points[-1], **{field: True})
+        res = dataclasses.replace(res, points=res.points[:-1] + (last,))
+        with pytest.raises(TypeError):
+            results_to_csv([res])
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

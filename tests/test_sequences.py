@@ -1,14 +1,18 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
+from seqlc.interleave import is_optimal, tang_ding
 from seqlc.numtheory import legendre_symbol
 from seqlc.sequences import (
     BinarySeq,
     GroupElement,
+    _and_counts,
     apply_group,
     autocorrelation,
+    autocorrelation_profile,
     complement,
     hall_construction,
     hall_parameter,
@@ -191,6 +195,56 @@ class TestIsIdeal:
         with pytest.raises(ValueError):
             is_ideal(BinarySeq.zeros(8))
 
+
+
+def per_shift_and_counts(a):
+    """The AND-count histogram one shift at a time: |a AND L^tau(a)| over
+    tau = 1 .. N//2."""
+    counts = Counter(
+        (a.mask & shift(a, tau).mask).bit_count() for tau in range(1, a.period // 2 + 1)
+    )
+    return [counts[c] for c in range(a.weight + 1)]
+
+
+# Ideal sequences at block-edge periods, and the n = 899 interleaving
+# (N = 3596, 1798 shifts), which has optimal autocorrelation.
+KERNEL_IDEAL_CASES = {
+    "m-sequence-l2": m_sequence(2),
+    "m-sequence-l5": m_sequence(5),
+    "legendre-p31": legendre_seq(31),
+    "twin-prime-p5": twin_prime_seq(5),
+    "m-sequence-l6": m_sequence(6),
+}
+TWIN899_INTERLEAVING = tang_ding(twin_prime_seq(29), shift(twin_prime_seq(29, "tau_t"), 1))
+
+
+def kernel_edge_cases():
+    """Sequences at the edges of _and_counts's blocks of 16 shifts: N = 1, 2
+    and 3, and N//2 one below, at and one above one and two blocks, each
+    random and all ones; then the ideal cases and the n = 899 interleaving."""
+    rng = random.Random(16)
+    periods = [1, 2, 3] + [2 * half + odd for half in (15, 16, 17, 31, 32, 33) for odd in (0, 1)]
+    cases = [pytest.param(BinarySeq(rng.getrandbits(n), n), id=f"random-N{n}") for n in periods]
+    cases += [pytest.param(BinarySeq.ones(n), id=f"ones-N{n}") for n in periods]
+    cases += [pytest.param(a, id=name) for name, a in KERNEL_IDEAL_CASES.items()]
+    return cases + [pytest.param(TWIN899_INTERLEAVING, id="twin899-interleaving")]
+
+
+class TestKernelBlockEdges:
+    @pytest.mark.parametrize("a", kernel_edge_cases())
+    def test_blocked_kernel_matches_one_shift_at_a_time(self, a):
+        n = a.period
+        assert _and_counts(a) == per_shift_and_counts(a)
+        values = Counter(autocorrelation(a, tau) for tau in range(1, n))
+        assert autocorrelation_profile(a) == values
+        if n % 4 == 3:
+            assert is_ideal.__wrapped__(a) == (set(values) == {-1})
+        if n % 4 == 0:
+            assert is_optimal(a) == (set(values) <= {0, -4})
+
+    def test_the_true_verdicts_are_reached(self):
+        assert all(map(is_ideal.__wrapped__, KERNEL_IDEAL_CASES.values()))
+        assert is_optimal(TWIN899_INTERLEAVING)
 
 class TestMSequence:
     def test_degree_two(self):
