@@ -68,7 +68,6 @@ def theorem5_p7_payload(point=(), **report):
     return payload
 
 
-
 def tang_ding_mutant(step=0, flip=True, swap=False):
     """w(a, b) with m + step in place of m, with or without the complement
     of the last column, and with or without columns 1 and 3 swapped."""
@@ -115,6 +114,7 @@ MUTANTS = {
     ),
     "profile-wrong-at-tau-1": ("autocorrelation_profile", profile_wrong_at_tau_1),
 }
+
 
 class TestSequenceIO:
     def test_round_trip(self, tmp_path):

@@ -196,7 +196,6 @@ class TestIsIdeal:
             is_ideal(BinarySeq.zeros(8))
 
 
-
 def per_shift_and_counts(a):
     """The AND-count histogram one shift at a time: |a AND L^tau(a)| over
     tau = 1 .. N//2."""
@@ -245,6 +244,7 @@ class TestKernelBlockEdges:
     def test_the_true_verdicts_are_reached(self):
         assert all(map(is_ideal.__wrapped__, KERNEL_IDEAL_CASES.values()))
         assert is_optimal(TWIN899_INTERLEAVING)
+
 
 class TestMSequence:
     def test_degree_two(self):
