@@ -189,14 +189,16 @@ class LCReport:
             bad.append("attains_max disagrees with the LC ceiling")
         # Two identities of any binary w of period N = 4n: the profile counts
         # the N - 1 nonzero shifts, and the sum of A over them is
-        # (N - 2|w|)^2 - N.
+        # (N - 2|w|)^2 - N.  That square is 4, since |w(a, b)| = 2|a| + n and
+        # ideal a has weight (n +- 1)/2: analyze_pair's precondition, not the
+        # optimality theorem the expectation checks.
         N = 4 * self.n
         shifts = sum(self.autocorr_values.values())
         if shifts != N - 1:
             bad.append(f"autocorrelation profile counts {shifts} shifts, not {N - 1}")
         square = sum(v * c for v, c in self.autocorr_values.items()) + N
-        if square < 0 or math.isqrt(square) ** 2 != square:
-            bad.append(f"autocorrelation sum plus N is {square}, not a square")
+        if square != 4:
+            bad.append(f"autocorrelation sum plus N is {square}, not 4")
         return bad
 
 

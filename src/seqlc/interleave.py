@@ -11,15 +11,15 @@ period-4n sequence
 
     w(a, b) = I(a, L^m(b), L^2m(a), L^3m(complement(b))),  m = (n+1)/4,
 
-which has optimal autocorrelation (all nonzero-shift values 0 or -4)
-whenever a and b both have ideal autocorrelation.
+which has optimal autocorrelation (all nonzero-shift values 0 or -4, as
+is_optimal reads off sequences' profile) whenever a and b are ideal.
 """
 
 from __future__ import annotations
 
 from .f2poly import _bit_view, _view_mask
 from .numtheory import mod_inverse
-from .sequences import BinarySeq, _and_counts
+from .sequences import BinarySeq, autocorrelation_profile
 
 # Complement of a byte-per-bit view.
 _FLIP = bytes.maketrans(b"01", b"10")
@@ -76,7 +76,7 @@ def crt_component(w: BinarySeq, i: int) -> int:
     i %= w.period
     alpha = i % 4
     beta = i % n
-    beta_star = beta * mod_inverse(4 % n, n) % n if n > 1 else 0
+    beta_star = beta * mod_inverse(4 % n, n) % n
     row = (beta_star - alpha * m) % n
     return w[4 * row + alpha]
 
@@ -85,11 +85,10 @@ def is_optimal(w: BinarySeq) -> bool:
     """True iff every nonzero shift has autocorrelation 0 or -4.
 
     Defined for periods divisible by 4, the residue class where {0, -4}
-    is the best achievable value set.  Reads the full histogram, with no
-    exit at the first bad shift.
+    is the best achievable value set.  Reads the full profile, with no exit
+    at the first bad shift.
     """
     N = w.period
     if N % 4 != 0:
         raise ValueError(f"optimal autocorrelation needs period = 0 mod 4, got {N}")
-    c = w.weight - N // 4  # AND weight giving A = 0; one less gives A = -4
-    return c >= 0 and sum(_and_counts(w)[max(c - 1, 0):c + 1]) == N // 2
+    return set(autocorrelation_profile(w)) <= {0, -4}

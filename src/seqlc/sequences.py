@@ -1,10 +1,10 @@
 """Periodic binary sequence generators and transforms.
 
 A BinarySeq stores one period bit-packed into an integer (bit i = a_i),
-so complement and cyclic shift reduce to integer XOR and rotation.  The
-autocorrelation verdicts and profile read one histogram: for each shift
-tau up to N/2, the popcount of a AND L^tau(a), read from a right shift of
-the two-period int taken once per block of 16 shifts (see _and_counts).
+so complement and cyclic shift reduce to integer XOR and rotation.  Only
+the autocorrelation profile maps the AND counts |a AND L^tau(a)|, tau up to
+N/2, to values (see _and_counts); the ideal verdict here and the optimal
+verdict in interleave read the profile.
 Sequences compare as exact periodic bit vectors; no cyclic-equivalence
 quotient is applied implicitly.
 
@@ -43,21 +43,18 @@ _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class BinarySeq:
     """One period of a {0,1} sequence, bit-packed (bit i = a_i)."""
 
-    __slots__ = ("mask", "period")
+    mask: int
+    period: int
 
-    def __init__(self, mask: int, period: int):
-        if period < 1:
+    def __post_init__(self):
+        if self.period < 1:
             raise ValueError("period must be at least 1")
-        if not 0 <= mask < (1 << period):
+        if not 0 <= self.mask < (1 << self.period):
             raise ValueError("mask has bits outside one period")
-        object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "period", period)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BinarySeq is immutable")
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BinarySeq":
@@ -102,19 +99,6 @@ class BinarySeq:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.bits)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinarySeq)
-            and self.mask == other.mask
-            and self.period == other.period
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.mask, self.period))
-
-    def __reduce__(self):
-        return (BinarySeq, (self.mask, self.period))
 
     def to_string(self) -> str:
         return _bit_view(self.mask, self.period).decode()
@@ -235,14 +219,13 @@ def is_ideal(a: BinarySeq) -> bool:
     Defined only for period = 3 (mod 4), the only residue class where the
     value -1 at every shift is arithmetically possible.  Invariant under
     L^r M_s and complementation, so analyze_pair asks it of the base
-    sequences only.  Reads the full histogram, with no exit at the first
-    bad shift.
+    sequences only.  Reads the full profile, with no exit at the first bad
+    shift.
     """
     n = a.period
     if n % 4 != 3:
         raise ValueError(f"ideal autocorrelation needs period = 3 mod 4, got {n}")
-    c = a.weight - (n + 1) // 4  # A(tau) = -1 iff the AND weight is c
-    return c >= 0 and _and_counts(a)[c] == n // 2
+    return autocorrelation_profile(a) == {-1: n - 1}
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +314,7 @@ def legendre_seq(p: int, variant: Literal["ell", "ell_prime"] = "ell") -> Binary
 
 def hall_parameter(p: int) -> int | None:
     """x with p = 4x^2 + 27, or None when p is not of that form."""
-    if p < 27 or (p - 27) % 4 != 0:
-        return None
-    x = 0
-    while 4 * x * x + 27 < p:
-        x += 1
+    x = math.isqrt(max(p - 27, 0) // 4)
     return x if 4 * x * x + 27 == p else None
 
 

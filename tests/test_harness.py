@@ -447,11 +447,13 @@ class TestRunCampaign:
         [
             lambda w: dict(Counter(autocorrelation(w, t) for t in range(1, w.period - 1))),
             lambda w: {-4: w.period - 1},
+            lambda w: {0: 3 * (w.period // 4) - 1, -4: w.period // 4},
+            lambda w: {0: 3 * (w.period // 4) + 3, -4: w.period // 4 - 4},
         ],
-        ids=["one-shift-short", "always-optimal"],
+        ids=["one-shift-short", "always-optimal", "tau-1-alone-low", "four-moved-to-zero"],
     )
     def test_profile_identities_catch_an_optimal_looking_profile(self, monkeypatch, profile):
-        # Both mutants give only the values 0 and -4, which the expectation
+        # Each mutant gives only the values 0 and -4, which the expectation
         # accepts, so only the profile's two identities can catch them.
         specs = theorem5_campaigns(ps=(7,))
         assert all(res.passed for res in run_campaigns(specs, jobs=1))
@@ -604,9 +606,9 @@ class TestNamedCampaigns:
         # An LC-free campaign still asserts optimal autocorrelation.
         spec = next(s for s in theorem5_campaigns(ps=(7,)) if s.name.endswith("recorded"))
         assert spec.expectation == Expectation()
-        # 27 shifts, and -16 + 28 is a square: the profile identities hold.
+        # 27 shifts, and -24 + 28 = 4: the profile identities hold.
         monkeypatch.setattr(
-            complexity, "autocorrelation_profile", lambda w: {0: 22, -4: 4, 4: 1}
+            complexity, "autocorrelation_profile", lambda w: {0: 19, -4: 7, 4: 1}
         )
         res = run_campaigns([spec], jobs=1)[0]
         assert not res.passed

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -61,6 +62,30 @@ class TestBinarySeq:
             BinarySeq(8, 3)
         with pytest.raises(ValueError):
             BinarySeq(0, 0)
+
+    def test_pickle_roundtrip(self):
+        a = legendre_seq(23)
+        b = pickle.loads(pickle.dumps(a))
+        assert b == a and hash(b) == hash(a)
+
+    def test_equal_values_hash_alike(self):
+        a, b = BinarySeq(0b1011000, 7), BinarySeq.from_string("0001101")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert BinarySeq(0b1011000, 8) != a
+        is_ideal.cache_clear()
+        assert is_ideal(a) is is_ideal(b)
+        assert is_ideal.cache_info().hits == 1
+
+    def test_unequal_to_other_types(self):
+        a = BinarySeq(5, 3)
+        assert a != (5, 3) and (5, 3) != a
+        assert a != 5
+
+    def test_immutable(self):
+        a = BinarySeq(5, 3)
+        with pytest.raises(AttributeError):
+            a.mask = 1
+        assert a.mask == 5
 
 
 class TestComplement:
