@@ -30,7 +30,7 @@ from .complexity import (
     two_adic_gcd,
 )
 from .harness import (
-    CSV_HEADER,
+    CSV_REPORT_FIELDS,
     NAMED_CAMPAIGNS,
     build_family,
     emit_report,
@@ -103,12 +103,7 @@ def _cmd_lc(args) -> int:
         return 0
     b = read_sequence(args.pair)
     report = analyze_pair(a, b)
-    # The CSV row's fields without the group element (r, s), one per line.
-    lines = [
-        f"{key} {str(getattr(report, key)).lower()}"
-        for key in CSV_HEADER.split(",")
-        if key not in ("r", "s")
-    ]
+    lines = [f"{key} {str(getattr(report, key)).lower()}" for key in CSV_REPORT_FIELDS]
     _out("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -24,7 +24,7 @@ gcd(S(2), 2^N - 1) = 1, evaluated with big-integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 from .f2poly import gcd, mul_mod, stretch
@@ -165,7 +165,8 @@ class LCReport:
     z_ab: int
     z_sum: int
     attains_max: bool
-    autocorr_values: dict[int, int]
+    # Compared but not hashed (a dict is unhashable): reports hash by the rest.
+    autocorr_values: dict[int, int] = field(hash=False)
     two_adic_max: bool
 
     def consistency_failures(self) -> list[str]:

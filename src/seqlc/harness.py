@@ -31,6 +31,7 @@ import operator
 import random
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, islice, repeat
 
 from .complexity import LCReport, analyze_pair
@@ -46,22 +47,23 @@ from .sequences import (
     twin_prime_seq,
 )
 
-FAMILIES = (
-    "m-sequence",
-    "legendre",
-    "legendre-prime",
-    "hall",
-    "twin-prime",
-    "twin-prime-tau",
-)
+# The builder of every family's base sequence at a parameter, but for
+# m-sequence, whose variant build_family resolves to a polynomial first.
+_BUILDERS = {
+    "legendre": legendre_seq,
+    "legendre-prime": partial(legendre_seq, variant="ell_prime"),
+    "hall": hall_seq,
+    "twin-prime": twin_prime_seq,
+    "twin-prime-tau": partial(twin_prime_seq, variant="tau_t"),
+}
+FAMILIES = ("m-sequence", *_BUILDERS)
 
 CSV_HEADER = (
     "n,r,s,lc_direct,lc_bm,lc_formula,z_ab,z_sum,attains_max,two_adic_max"
 )
 # The CSV fields a report gives, in header order: all but r and s.
-_CSV_REPORT_FIELDS = tuple(f for f in CSV_HEADER.split(",") if f not in ("r", "s"))
-_REPORT_CSV = operator.attrgetter(*_CSV_REPORT_FIELDS)
-_JSON_CSV = operator.itemgetter(*_CSV_REPORT_FIELDS)
+CSV_REPORT_FIELDS = tuple(f for f in CSV_HEADER.split(",") if f not in ("r", "s"))
+_CSV_VALUES = operator.itemgetter(*CSV_REPORT_FIELDS)
 _FLAGS = ("false", "true")  # a bool as the CSV and the JSON spell it
 # The exact type of each of those fields, so that no bool passes as a number.
 _CSV_REPORT_TYPES = (int,) * 6 + (bool, bool)
@@ -222,31 +224,18 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
                 f"m-sequence variant {variant!r} is neither 'alt' nor a decimal encoding"
             )
         return m_sequence(param, char_poly=int(variant))
+    if family not in _BUILDERS:
+        raise ValueError(f"unknown family {family!r}")
     if variant is not None:
         raise ValueError(f"family {family!r} takes no variant")
-    if family == "legendre":
-        return legendre_seq(param, "ell")
-    if family == "legendre-prime":
-        return legendre_seq(param, "ell_prime")
-    if family == "hall":
-        return hall_seq(param)
-    if family == "twin-prime":
-        return twin_prime_seq(param, "t")
-    if family == "twin-prime-tau":
-        return twin_prime_seq(param, "tau_t")
-    raise ValueError(f"unknown family {family!r}")
-
-
-_REPORT_SCALARS = operator.attrgetter(
-    *(f.name for f in dataclasses.fields(LCReport) if f.name != "autocorr_values")
-)
+    return _BUILDERS[family](param)
 
 
 def _run_input(base_a, base_b, sigma, expectations, reports):
     """One distinct input, analyzed once: a PairResult per expectation, one
-    per point of the input.  The report is interned in reports, keyed by
-    content, so every point of a run or slice with an equal report shares
-    one object."""
+    per point of the input.  The report is interned in reports, as equal
+    reports are equal keys, so every point of a run or slice with an equal
+    report shares one object."""
     try:
         report = analyze_pair(base_a, base_b, sigma)
     except ValueError as exc:  # a rejected point is a row; anything else is a defect
@@ -254,8 +243,7 @@ def _run_input(base_a, base_b, sigma, expectations, reports):
             r=sigma.r, s=sigma.s, report=None, failures=("construction error",),
             error=f"{type(exc).__name__}: {exc}",
         )] * len(expectations)
-    key = (_REPORT_SCALARS(report), tuple(sorted(report.autocorr_values.items())))
-    report = reports.setdefault(key, report)
+    report = reports.setdefault(report, report)
     consistency = report.consistency_failures()
     return [
         PairResult(r=sigma.r, s=sigma.s, report=report,
@@ -715,70 +703,57 @@ def results_to_json(results: list[CampaignResult]) -> str:
     return "".join(out)
 
 
-def _checked(fields: tuple) -> tuple:
-    """A report's CSV fields, in _CSV_REPORT_FIELDS order, once their types are
-    checked."""
-    if tuple(map(type, fields)) != _CSV_REPORT_TYPES:
+def _checked(fields) -> tuple:
+    """A report's CSV values, in CSV_REPORT_FIELDS order, taken from its field
+    mapping once their types are checked."""
+    values = _CSV_VALUES(fields)
+    if tuple(map(type, values)) != _CSV_REPORT_TYPES:
         raise TypeError(_CSV_TYPE_ERROR)
-    return fields
+    return values
 
 
-def _report_text(fields: tuple) -> tuple[int, str]:
-    """n and the CSV text after s of a report's checked fields."""
-    n, *numbers, attains, two_adic = fields
-    return n, ",".join([*map(str, numbers), _FLAGS[attains], _FLAGS[two_adic]])
-
-
-def _csv(rows, text_of) -> str:
-    """The CSV report: the header, then one line per row (r, s, report), with
-    text_of(report) the report's _report_text."""
+def _csv(rows, key) -> str:
+    """The CSV report: the header, then one line per row (r, s, fields), with
+    fields a report's field mapping.  The text of equal key(fields) is
+    formatted once."""
+    texts = {}  # key(fields) -> n and the report's text after s
     lines = [CSV_HEADER]
-    for r, s, report in rows:
+    for r, s, fields in rows:
         if type(r) is not int or type(s) is not int:
             raise TypeError(_CSV_TYPE_ERROR)
-        n, rest = text_of(report)
+        if (text := texts.get(k := key(fields))) is None:
+            n, *numbers, attains, two_adic = _checked(fields)
+            text = texts[k] = n, ",".join(
+                [*map(str, numbers), _FLAGS[attains], _FLAGS[two_adic]]
+            )
+        n, rest = text
         lines.append(f"{n},{r},{s},{rest}")
     return "\n".join(lines) + "\n"
 
 
 def results_to_csv(results: list[CampaignResult]) -> str:
-    """The CSV report.  Each report object is formatted once, keyed by its
-    identity, as results_to_json dumps it once."""
-    texts = {}  # id(report) -> its _report_text
-
-    def text_of(report):
-        if (text := texts.get(id(report))) is None:
-            text = texts[id(report)] = _report_text(_checked(_REPORT_CSV(report)))
-        return text
-
+    """The CSV report.  Each report object is formatted once, keyed by the
+    identity of its field mapping, as results_to_json dumps it once."""
     return _csv(
-        ((pt.r, pt.s, pt.report) for res in results for pt in res.points
+        ((pt.r, pt.s, pt.report.__dict__) for res in results for pt in res.points
          if pt.report is not None),
-        text_of,
+        id,
     )
 
 
 def json_to_csv(text: str) -> str:
     """Convert emitted JSON back to the CSV schema (round-trip identity).
-    Each distinct report's fields are formatted once, keyed by value after
-    the type check: True == 1, and both hash alike."""
+    Each distinct report is formatted once, keyed by its values after the
+    type check, which runs at every row: True == 1, and both hash alike."""
     try:
         payload = json.loads(text)
     except RecursionError:  # nested deeper than the decoder's stack
         raise ValueError("not a seqlc JSON report") from None
-    texts = {}  # checked fields -> their _report_text
-
-    def text_of(report):
-        fields = _checked(_JSON_CSV(report))
-        if (text := texts.get(fields)) is None:
-            text = texts[fields] = _report_text(fields)
-        return text
-
     try:
         return _csv(
             ((pt["r"], pt["s"], pt["report"]) for camp in payload["campaigns"]
              for pt in camp["points"] if pt["report"] is not None),
-            text_of,
+            _checked,
         )
     except KeyError as exc:
         raise ValueError(f"report has no field {exc.args[0]!r}") from None

@@ -13,6 +13,10 @@ is_ideal is timed uncached on the base b: it is paid once per base, not
 once per pair.  The whole pair runs as a campaign point does,
 analyze_pair(a, b, sigma), with the is_ideal cache warm.
 
+The report writers form their own group: results_to_json, results_to_csv
+and json_to_csv on the report of seqlc verify all over the campaigns of
+base period n <= 143 (108 specs, 3016 points), built once per session.
+
 For an A/B comparison of two checkouts, run the command in each with
 --benchmark-save=NAME, alternating, then pytest-benchmark compare.
 """
@@ -70,3 +74,29 @@ def pair(size):
 def test_stage(benchmark, stage, size):
     benchmark.group = size
     benchmark(STAGES[stage], *pair(size))
+
+
+# Each writer reads (results, their JSON report).
+WRITERS = {
+    "results_to_json": lambda results, text: harness.results_to_json(results),
+    "results_to_csv": lambda results, text: harness.results_to_csv(results),
+    "json_to_csv": lambda results, text: harness.json_to_csv(text),
+}
+SMALL_MAX_N = 143
+
+
+@functools.cache
+def small_report():
+    """(results, JSON report) of verify all over the campaigns with n <= 143."""
+    specs = [
+        s for s in harness.named_campaigns("all")
+        if harness._family_period(s.family_a, s.param) <= SMALL_MAX_N
+    ]
+    results = harness.run_campaigns(specs)
+    return results, harness.results_to_json(results)
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer(benchmark, writer):
+    benchmark.group = "writers-n143"
+    benchmark(WRITERS[writer], *small_report())

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import pytest
 
 import seqlc
 from seqlc.complexity import (
+    LCReport,
     analyze_pair,
     gauss_sum_poly,
     lc_berlekamp_massey,
@@ -355,6 +358,23 @@ class TestAnalyzePair:
                 sigma = GroupElement(rng.randrange(n), rng.choice(units))
                 rep = analyze_pair(apply_group(a, sigma), apply_group(b, sigma))
                 assert rep.lc_formula == lc
+
+    def test_report_value_semantics(self):
+        # Equal reports hash alike whatever their profile's insertion order, so
+        # the harness interns them through a dict; the profile still counts
+        # for equality.
+        rep = analyze_pair(legendre_seq(7), shift(legendre_seq(7, "ell_prime"), 1))
+        profile = rep.autocorr_values
+        reordered = {v: profile[v] for v in reversed(list(profile))}
+        twin = dataclasses.replace(rep, autocorr_values=reordered)
+        assert list(twin.autocorr_values) != list(profile)
+        assert twin == rep and hash(twin) == hash(rep)
+        assert {rep: 1, twin: 2} == {rep: 2}
+        other = dataclasses.replace(rep, autocorr_values={0: 20, -4: 7})
+        assert other != rep and len({rep, other}) == 2
+        copy = pickle.loads(pickle.dumps(rep))
+        assert copy == rep and hash(copy) == hash(rep)
+        assert isinstance(copy, LCReport)
 
     def test_remark_spot_checks(self):
         # p = 31 = 7 mod 8: interleaving Hall with itself or with Legendre

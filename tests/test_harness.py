@@ -14,6 +14,7 @@ from seqlc.cli import main
 from seqlc.f2poly import gcd
 from seqlc.harness import (
     CSV_HEADER,
+    FAMILIES,
     CampaignSpec,
     Expectation,
     build_family,
@@ -39,6 +40,7 @@ from seqlc.sequences import (
     legendre_seq,
     m_sequence,
     shift,
+    twin_prime_seq,
 )
 from test_complexity import list_berlekamp_massey
 
@@ -155,10 +157,18 @@ class TestBuildFamily:
         assert build_family("m-sequence", 3, "13").period == 7
         assert build_family("hall", 31).weight == 15
         assert build_family("twin-prime", 5).period == 35
+        assert build_family("twin-prime-tau", 5) == twin_prime_seq(5, "tau_t")
+        # Every family, in the order seqlc gen --help and argparse's "invalid
+        # choice" error show.
+        assert FAMILIES == (
+            "m-sequence", "legendre", "legendre-prime", "hall", "twin-prime",
+            "twin-prime-tau",
+        )
 
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            build_family("fibonacci", 5)
+    @pytest.mark.parametrize("variant", [None, "alt"])
+    def test_unknown(self, variant):
+        with pytest.raises(ValueError, match="unknown family"):
+            build_family("fibonacci", 5, variant)
 
 
 class TestRunCampaign:
