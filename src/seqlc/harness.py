@@ -204,6 +204,8 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
     smallest encoding, "alt" the second smallest, and a decimal string an
     explicit encoding.  No other family takes a variant.
     """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
     # The generators reject a param <= 0 themselves.
     if param > 0 and _family_period(family, param) > MAX_PERIOD:
         raise ValueError(
@@ -224,8 +226,6 @@ def build_family(family: str, param: int, variant: str | None = None) -> BinaryS
                 f"m-sequence variant {variant!r} is neither 'alt' nor a decimal encoding"
             )
         return m_sequence(param, char_poly=int(variant))
-    if family not in _BUILDERS:
-        raise ValueError(f"unknown family {family!r}")
     if variant is not None:
         raise ValueError(f"family {family!r} takes no variant")
     return _BUILDERS[family](param)
@@ -397,30 +397,22 @@ def _hall_s_reps(p: int) -> list[int]:
     return sorted(map(min, hall_construction(p)[1].classes))
 
 
-def _with_r0_twin(spec: CampaignSpec, recorded) -> list[CampaignSpec]:
-    """spec, then a "-r0-recorded" twin over the r = 0 points in recorded,
-    which lie outside the LC claim (no twin when recorded is empty)."""
-    if not recorded:
-        return [spec]
-    return [spec, _recorded(spec, spec.name + "-r0-recorded", recorded)]
-
-
-def theorem5_campaigns(ps=(7, 11, 19, 23)) -> list[CampaignSpec]:
-    """Legendre pairs (ell, L^r(ell')) with r != 0: LC hits the 2p+2 ceiling."""
+def theorem5_campaigns() -> list[CampaignSpec]:
+    """Legendre pairs (ell, L^r(ell')), p in {7, 11, 19, 23}, r != 0: LC = 2p+2."""
     specs = []
-    for p in ps:
+    for p in (7, 11, 19, 23):
         spec = CampaignSpec(
             f"theorem5-p{p}", "legendre", "legendre-prime", p,
             _product_grid(range(1, p), (1,)), Expectation(lc_exact=2 * p + 2),
         )
-        specs += _with_r0_twin(spec, (GroupElement(0, 1),))
+        specs += [spec, _recorded(spec, spec.name + "-r0-recorded", (GroupElement(0, 1),))]
     return specs
 
 
-def msequence_campaigns(ls=(3, 4, 5)) -> list[CampaignSpec]:
-    """m-sequence pairs: 2l+4 when sharing the minimal polynomial, else 4l+4."""
+def msequence_campaigns() -> list[CampaignSpec]:
+    """m-sequence pairs, l in {3, 4, 5}: 2l+4 sharing the minimal polynomial, else 4l+4."""
     specs = []
-    for l in ls:
+    for l in (3, 4, 5):
         n = (1 << l) - 1
         specs.append(CampaignSpec(
             f"msequence-l{l}-same-poly", "m-sequence", "m-sequence", l,
@@ -434,38 +426,34 @@ def msequence_campaigns(ls=(3, 4, 5)) -> list[CampaignSpec]:
     return specs
 
 
-def example1_campaign(p: int = 31) -> list[CampaignSpec]:
-    """Hall pair (h, L^2 M_j(h)), j in D4, p = 7 mod 8: LC = (2p+10)/3."""
-    if p % 8 != 7:
-        raise ValueError("this construction is claimed for p = 7 mod 8")
+def example1_campaign() -> list[CampaignSpec]:
+    """Hall pair (h, L^2 M_j(h)), j in D4, at p = 31 = 7 mod 8: LC = (2p+10)/3."""
+    p = 31
     _, classes = hall_construction(p)
     grid = tuple(GroupElement(2, j) for j in sorted(classes.classes[4]))
     claim = Expectation(lc_exact=(2 * p + 10) // 3)
     return [CampaignSpec(f"example1-p{p}", "hall", "hall", p, grid, claim)]
 
 
-def theorem6_campaigns(ps=(43, 283)) -> list[CampaignSpec]:
-    """Hall pairs (h, L^r M_s(h)), p = 3 mod 8, r != 0: LC hits 2p+2."""
+def theorem6_campaigns() -> list[CampaignSpec]:
+    """Hall pairs (h, L^r M_s(h)), p in {43, 283}, both 3 mod 8, r != 0: LC = 2p+2."""
     specs = []
-    for p in ps:
-        if p % 8 != 3:
-            raise ValueError("claimed for p = 3 mod 8 only")
+    for p in (43, 283):
         grid = _product_grid(range(1, p), _hall_s_reps(p))
         claim = Expectation(lc_exact=2 * p + 2)
         specs.append(CampaignSpec(f"theorem6-p{p}", "hall", "hall", p, grid, claim))
     return specs
 
 
-def theorem7_campaigns(p: int = 43) -> list[CampaignSpec]:
-    """Legendre-by-Hall pairs, p = 3 mod 8.
+def theorem7_campaigns() -> list[CampaignSpec]:
+    """Legendre-by-Hall pairs at p = 43 = 3 mod 8.
 
     The ceiling 2p+2 is claimed for every nonzero shift, and at r = 0
     exactly when the Legendre symbol of s matches the variant: -1 against
     ell, +1 against ell-prime.  The complementary r = 0 points are run with
     their LC recorded, not asserted.
     """
-    if p % 8 != 3:
-        raise ValueError("claimed for p = 3 mod 8 only")
+    p = 43
     reps = _hall_s_reps(p)
     claim = Expectation(lc_exact=2 * p + 2)
     specs = []
@@ -477,20 +465,16 @@ def theorem7_campaigns(p: int = 43) -> list[CampaignSpec]:
             GroupElement(0, s) for s in reps if legendre_symbol(s, p) != sym
         )
         spec = CampaignSpec(f"theorem7-{fam}-p{p}", fam, "hall", p, asserted, claim)
-        specs += _with_r0_twin(spec, recorded)
+        specs += [spec, _recorded(spec, spec.name + "-r0-recorded", recorded)]
     return specs
 
 
-def theorem9_campaigns(ps=(5, 29), record_complementary=(11,)) -> list[CampaignSpec]:
+def theorem9_campaigns() -> list[CampaignSpec]:
     """Twin-prime pairs (t, L^r(t)) and (t, L^r(tau(t))), r coprime to n.
 
-    Asserted for p = 1 mod 4 (LC = 2n+2).  Twin pairs with p = 3 mod 4 are
-    outside the LC claim; when listed their LC is recorded, not asserted.
+    Asserted at p = 5 and 29, both 1 mod 4 (LC = 2n+2).  The pairs at p = 11 =
+    3 mod 4 are outside the LC claim; their LC is recorded, not asserted.
     """
-    for p in ps:
-        if p % 4 != 1:
-            raise ValueError(f"claimed for p = 1 mod 4, got {p}")
-
     def twin_pairs(p):
         n = p * (p + 2)
         grid = _product_grid([r for r in range(1, n) if math.gcd(r, n) == 1], (1,))
@@ -500,17 +484,14 @@ def theorem9_campaigns(ps=(5, 29), record_complementary=(11,)) -> list[CampaignS
             for fam in ("twin-prime", "twin-prime-tau")
         ]
 
-    return [spec for p in ps for spec in twin_pairs(p)] + [
-        _recorded(spec, spec.name + "-recorded", spec.grid)
-        for p in record_complementary
-        for spec in twin_pairs(p)
+    return twin_pairs(5) + twin_pairs(29) + [
+        _recorded(spec, spec.name + "-recorded", spec.grid) for spec in twin_pairs(11)
     ]
 
 
-def remarks_campaigns(p: int = 31) -> list[CampaignSpec]:
-    """p = 7 mod 8 spot checks: Hall against itself or Legendre stays below 2p+2."""
-    if p % 8 != 7:
-        raise ValueError("claimed for p = 7 mod 8 only")
+def remarks_campaigns() -> list[CampaignSpec]:
+    """p = 31 = 7 mod 8 spot checks: Hall against Hall or Legendre stays below 2p+2."""
+    p = 31
     grid = _product_grid(range(0, p), _hall_s_reps(p))
     claim = Expectation(lc_below=2 * p + 2)
     return [
@@ -584,17 +565,14 @@ def bound_campaigns(seed: int = BOUND_SEED) -> list[CampaignSpec]:
 
 def twoadic_campaigns() -> list[CampaignSpec]:
     """The n <= 127 grids under an LC claim, rerun with no LC claim."""
-    pool = (
-        theorem5_campaigns()
-        + msequence_campaigns()
-        + example1_campaign()
-        + theorem6_campaigns(ps=(43,))
-        + theorem7_campaigns()
-        + theorem9_campaigns(ps=(5,), record_complementary=())
+    builders = (
+        theorem5_campaigns, msequence_campaigns, example1_campaign,
+        theorem6_campaigns, theorem7_campaigns, theorem9_campaigns,
     )
     return [
         _recorded(spec, f"twoadic-{spec.name}", spec.grid)
-        for spec in pool
+        for build in builders
+        for spec in build()
         if spec.expectation.lc_exact is not None
         and _family_period(spec.family_a, spec.param) <= TWO_ADIC_MAX_N
     ]
@@ -614,8 +592,8 @@ NAMED_CAMPAIGNS = {
 
 
 def named_campaigns(name: str, *, seed: int = BOUND_SEED) -> list[CampaignSpec]:
-    """The specs of one named campaign at its default parameters, or of every
-    one in NAMED_CAMPAIGNS order for "all".  seed reaches the bound sweep."""
+    """The specs of one named campaign, or of every one in NAMED_CAMPAIGNS
+    order for "all".  seed reaches the bound sweep."""
     if name == "all":
         return [
             spec for key in NAMED_CAMPAIGNS for spec in named_campaigns(key, seed=seed)

@@ -17,6 +17,10 @@ The report writers form their own group: results_to_json, results_to_csv
 and json_to_csv on the report of seqlc verify all over the campaigns of
 base period n <= 143 (108 specs, 3016 points), built once per session.
 
+named_campaigns("all") is timed alone: building the specs of a run is part
+of every perfbench workload's setup_s.  Rounds after the first find the
+Hall candidates in is_ideal's cache, so it times warm spec building.
+
 For an A/B comparison of two checkouts, run the command in each with
 --benchmark-save=NAME, alternating, then pytest-benchmark compare.
 """
@@ -100,3 +104,8 @@ def small_report():
 def test_writer(benchmark, writer):
     benchmark.group = "writers-n143"
     benchmark(WRITERS[writer], *small_report())
+
+
+def test_named_campaigns(benchmark):
+    benchmark.group = "specs"
+    benchmark(harness.named_campaigns, "all")

@@ -78,9 +78,7 @@ def _lc_claimed_reports(results):
 
 def test_criterion_01_theorem5_legendre():
     with criterion(1, "Legendre pairs reach LC = 2p+2 for p in {7,11,19,23}"):
-        results, elapsed = _campaigns(
-            "theorem5", lambda: theorem5_campaigns(ps=(7, 11, 19, 23))
-        )
+        results, elapsed = _campaigns("theorem5", theorem5_campaigns)
         assert all(res.passed for res in results), [
             res.spec.name for res in results if not res.passed
         ]
@@ -90,15 +88,13 @@ def test_criterion_01_theorem5_legendre():
             rep = pt.report
             assert rep.lc_direct == rep.lc_bm == rep.lc_formula == 2 * p + 2
             count += 1
-        assert count == sum(p - 1 for p in (7, 11, 19, 23))
+        assert count == 6 + 10 + 18 + 22  # r in [1, p - 1] at each p
         assert elapsed < 1.0, f"{elapsed:.2f}s"
 
 
 def test_criterion_02_m_sequences():
     with criterion(2, "m-sequence pairs give 2l+4 (shared poly) or 4l+4 (distinct)"):
-        results, elapsed = _campaigns(
-            "msequence", lambda: msequence_campaigns(ls=(3, 4, 5))
-        )
+        results, elapsed = _campaigns("msequence", msequence_campaigns)
         assert all(res.passed for res in results)
         for spec, pt in _lc_claimed_reports(results):
             l = spec.param
@@ -120,9 +116,7 @@ def test_criterion_03_hall_example():
 
 def test_criterion_04_hall_ceiling():
     with criterion(4, "Hall p in {43, 283}, r != 0: LC = 2p+2"):
-        results, elapsed = _campaigns(
-            "theorem6", lambda: theorem6_campaigns(ps=(43, 283))
-        )
+        results, elapsed = _campaigns("theorem6", theorem6_campaigns)
         assert all(res.passed for res in results)
         for spec, pt in _lc_claimed_reports(results):
             rep = pt.report
@@ -134,7 +128,7 @@ def test_criterion_04_hall_ceiling():
 
 def test_criterion_05_legendre_by_hall():
     with criterion(5, "Legendre-by-Hall p=43: LC = 88 on the claimed grid"):
-        results, elapsed = _campaigns("theorem7", lambda: theorem7_campaigns(p=43))
+        results, elapsed = _campaigns("theorem7", theorem7_campaigns)
         assert all(res.passed for res in results)
         asserted = list(_lc_claimed_reports(results))
         # r in [1, 42] x 6 classes, plus 3 matching-symbol classes at r = 0,
@@ -148,10 +142,7 @@ def test_criterion_05_legendre_by_hall():
 
 def test_criterion_06_twin_prime():
     with criterion(6, "twin-prime pairs (5,7) and (29,31): LC = 2n+2"):
-        results, elapsed = _campaigns(
-            "theorem9",
-            lambda: theorem9_campaigns(ps=(5, 29), record_complementary=()),
-        )
+        results, elapsed = _campaigns("theorem9", theorem9_campaigns)
         assert all(res.passed for res in results)
         count = 0
         for spec, pt in _lc_claimed_reports(results):
@@ -166,7 +157,7 @@ def test_criterion_06_twin_prime():
 
 def test_criterion_07_below_ceiling_spot_checks():
     with criterion(7, "p=31 Hall/Legendre-by-Hall grids stay below LC = 64"):
-        results, elapsed = _campaigns("remarks", lambda: remarks_campaigns(p=31))
+        results, elapsed = _campaigns("remarks", remarks_campaigns)
         assert all(res.passed for res in results)
         reports = [pt.report for _, pt in _lc_claimed_reports(results)]
         assert len(reports) == 3 * 31 * 6
@@ -216,7 +207,7 @@ def test_criterion_10_optimal_autocorrelation():
                     values = set(pt.report.autocorr_values)
                     assert values <= {0, -4}, (res.spec.name, pt.r, pt.s, values)
                     checked += 1
-        assert checked == 4356  # 60 + 103 + 5 + 1944 + 516 + 1728, in key order
+        assert checked == 4596  # 60 + 103 + 5 + 1944 + 516 + 1968, in key order
 
 
 def test_criterion_11_polynomial_identities():
@@ -254,7 +245,7 @@ def test_criterion_12_two_adic_maximality():
                         continue
                     assert rep.two_adic_max, (res.spec.name, pt.r, pt.s)
                     checked += 1
-        assert checked == 4356  # 60 + 103 + 5 + 1944 + 516 + 1728, in key order
+        assert checked == 4596  # 60 + 103 + 5 + 1944 + 516 + 1968, in key order
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0, f"{elapsed:.2f}s"
 

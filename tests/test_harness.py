@@ -27,6 +27,7 @@ from seqlc.harness import (
     results_to_json,
     run_campaigns,
     theorem5_campaigns,
+    theorem9_campaigns,
 )
 from seqlc.interleave import interleave4
 from seqlc.numtheory import legendre_symbol
@@ -49,8 +50,13 @@ def _must_not_build(*args, **kwargs):
     raise AssertionError("an input above the period ceiling reached a builder")
 
 
+def at(build, *params):
+    """The specs of a named-campaign builder at the given params, in order."""
+    return [spec for spec in build() if spec.param in params]
+
+
 def theorem5_p7():
-    return theorem5_campaigns(ps=(7,))[0]
+    return at(theorem5_campaigns, 7)[0]
 
 
 def report_content(rep):
@@ -165,10 +171,18 @@ class TestBuildFamily:
             "twin-prime-tau",
         )
 
-    @pytest.mark.parametrize("variant", [None, "alt"])
-    def test_unknown(self, variant):
-        with pytest.raises(ValueError, match="unknown family"):
-            build_family("fibonacci", 5, variant)
+    @pytest.mark.parametrize(
+        "param, variant",
+        [
+            pytest.param(5, None, id="None"),
+            pytest.param(5, "alt", id="alt"),
+            # The name is checked before the period ceiling.
+            pytest.param(20000, None, id="above-ceiling"),
+        ],
+    )
+    def test_unknown(self, param, variant):
+        with pytest.raises(ValueError, match="^unknown family 'fibonacci'$"):
+            build_family("fibonacci", param, variant)
 
 
 class TestRunCampaign:
@@ -182,7 +196,14 @@ class TestRunCampaign:
     def test_two_adic_verdict_asserted_beyond_p127(self):
         # The paper claims 2-adic maximality for every interleaving, so every
         # point asserts the verdict, above the twoadic sweep's n <= 127 too.
-        spec = theorem5_campaigns(ps=(131,))[0]
+        spec = CampaignSpec(
+            name="theorem5-p131",
+            family_a="legendre",
+            family_b="legendre-prime",
+            param=131,
+            grid=tuple(GroupElement(r, 1) for r in range(1, 131)),
+            expectation=Expectation(lc_exact=264),
+        )
         res = run_campaigns([spec])[0]
         assert len(res.points) == 130
         assert res.passed, [pt.failures for pt in res.points if not pt.passed][:3]
@@ -272,7 +293,7 @@ class TestRunCampaign:
         return slots
 
     def test_each_base_slot_is_built_once_per_run(self, built):
-        run_campaigns(theorem5_campaigns(ps=(7,)) + msequence_campaigns(ls=(3,)), jobs=1)
+        run_campaigns(at(theorem5_campaigns, 7) + at(msequence_campaigns, 3), jobs=1)
         assert built == [
             ("legendre", 7, None), ("legendre-prime", 7, None),
             ("m-sequence", 3, None), ("m-sequence", 3, "alt"),
@@ -312,7 +333,7 @@ class TestRunCampaign:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-        specs = theorem5_campaigns(ps=(7, 11))
+        specs = at(theorem5_campaigns, 7, 11)
         parallel = run_campaigns(specs, jobs=2)
         assert len(pools) == 1
         serial = run_campaigns(specs, jobs=1)
@@ -329,7 +350,7 @@ class TestRunCampaign:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         # 102 points over 12 campaigns: 8-point chunks would make 13 slices.
-        specs = theorem5_campaigns() + msequence_campaigns(ls=(3, 4))
+        specs = theorem5_campaigns() + at(msequence_campaigns, 3, 4)
         jobs = 2
         parallel = run_campaigns(specs, jobs=jobs)
         assert 1 < len(submits) <= 4 * jobs
@@ -337,14 +358,14 @@ class TestRunCampaign:
         assert [res.points for res in parallel] == [res.points for res in serial]
 
     def test_one_report_object_per_distinct_report(self):
-        specs = theorem5_campaigns() + msequence_campaigns(ls=(3, 4))
+        specs = theorem5_campaigns() + at(msequence_campaigns, 3, 4)
         reports = [pt.report for res in run_campaigns(specs, jobs=1) for pt in res.points]
         distinct = {report_content(rep) for rep in reports}
         assert 1 < len(distinct) < len(reports)
         assert len({id(rep) for rep in reports}) == len(distinct)
 
     def test_one_report_object_per_distinct_report_per_slice(self):
-        specs = theorem5_campaigns() + msequence_campaigns(ls=(3, 4))
+        specs = theorem5_campaigns() + at(msequence_campaigns, 3, 4)
         jobs = 2
         parallel = run_campaigns(specs, jobs=jobs)
         serial = run_campaigns(specs, jobs=1)
@@ -393,7 +414,7 @@ class TestRunCampaign:
             return analyze(*args)
 
         monkeypatch.setattr(harness, "analyze_pair", counting)
-        specs = theorem5_campaigns(ps=(7,))
+        specs = at(theorem5_campaigns, 7)
         first = run_campaigns(specs, jobs=1)
         assert len(calls) == 7
         calls.clear()
@@ -437,11 +458,11 @@ class TestRunCampaign:
 
     def test_parallel_equals_serial_with_repeats(self):
         # Repeats inside a slice, across slices, and of a campaign cut by a slice.
-        small = theorem5_campaigns(ps=(7, 11)) + msequence_campaigns(ls=(3,))
+        small = at(theorem5_campaigns, 7, 11) + at(msequence_campaigns, 3)
         specs = (
             small
             + [dataclasses.replace(s, name=s.name + "-again") for s in reversed(small)]
-            + theorem5_campaigns(ps=(19,))
+            + at(theorem5_campaigns, 19)
             + [dataclasses.replace(small[2], name="cut", grid=small[2].grid[3:7])]
         )
         serial = run_campaigns(specs, jobs=1)
@@ -465,7 +486,7 @@ class TestRunCampaign:
     def test_profile_identities_catch_an_optimal_looking_profile(self, monkeypatch, profile):
         # Each mutant gives only the values 0 and -4, which the expectation
         # accepts, so only the profile's two identities can catch them.
-        specs = theorem5_campaigns(ps=(7,))
+        specs = at(theorem5_campaigns, 7)
         assert all(res.passed for res in run_campaigns(specs, jobs=1))
         monkeypatch.setattr(complexity, "autocorrelation_profile", profile)
         points = [pt for res in run_campaigns(specs, jobs=1) for pt in res.points]
@@ -480,7 +501,7 @@ class TestRunCampaign:
         # fails one of them (123 of the 3016 points with n <= 143), the z-set
         # mutant only the m-sequence ones, and BM over N terms none of the
         # same-polynomial ones.
-        specs = theorem5_campaigns(ps=(7,)) + msequence_campaigns(ls=(3,))
+        specs = at(theorem5_campaigns, 7) + at(msequence_campaigns, 3)
         assert all(res.passed for res in run_campaigns(specs, jobs=1))
         monkeypatch.setattr(complexity, *MUTANTS[name])
         assert any(not pt.passed for res in run_campaigns(specs, jobs=1) for pt in res.points)
@@ -521,7 +542,7 @@ class TestEmission:
         assert first[8:] == ["true", "true"]
 
     def test_json_round_trip_to_csv(self):
-        res = run_campaigns(theorem5_campaigns(ps=(7,)))
+        res = run_campaigns(at(theorem5_campaigns, 7))
         assert json_to_csv(results_to_json(res)) == results_to_csv(res)
 
     def test_json_parses_back(self):
@@ -595,6 +616,11 @@ class TestNamedCampaigns:
             named_campaigns("theorem6", fulls=True)
         with pytest.raises(TypeError):
             named_campaigns("theorem6", full_s=True)
+        # The builders state the paper's parameters and take none.
+        with pytest.raises(TypeError):
+            theorem5_campaigns(ps=(7,))
+        with pytest.raises(TypeError):
+            theorem9_campaigns(record_complementary=())
 
     def test_recorded_specs_assert_the_whole_family_claims(self):
         # Outside the LC claim the paper still claims optimal autocorrelation
@@ -605,7 +631,7 @@ class TestNamedCampaigns:
         assert all(s.expectation == Expectation() for s in recorded)
 
     def test_recorded_point_fails_on_a_false_two_adic_verdict(self, monkeypatch):
-        spec = next(s for s in theorem5_campaigns(ps=(7,)) if s.name.endswith("recorded"))
+        spec = next(s for s in at(theorem5_campaigns, 7) if s.name.endswith("recorded"))
         assert run_campaigns([spec], jobs=1)[0].passed
         monkeypatch.setattr(complexity, "two_adic_max", lambda w: False)
         res = run_campaigns([spec], jobs=1)[0]
@@ -614,7 +640,7 @@ class TestNamedCampaigns:
 
     def test_recorded_point_fails_on_a_non_optimal_profile(self, monkeypatch):
         # An LC-free campaign still asserts optimal autocorrelation.
-        spec = next(s for s in theorem5_campaigns(ps=(7,)) if s.name.endswith("recorded"))
+        spec = next(s for s in at(theorem5_campaigns, 7) if s.name.endswith("recorded"))
         assert spec.expectation == Expectation()
         # 27 shifts, and -24 + 28 = 4: the profile identities hold.
         monkeypatch.setattr(
