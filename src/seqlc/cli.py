@@ -93,11 +93,15 @@ def _cmd_autocorr(args) -> int:
 def _cmd_lc(args) -> int:
     a = read_sequence(args.sequence)
     if args.pair is None:
+        # The 2-adic gcd reaches 2^N - 1, 4932 digits at N = MAX_PERIOD, past
+        # the 4300 that str(int) allows by default; Decimal has no such limit.
+        from decimal import Decimal
+
         lines = [
             f"period {a.period}",
             f"lc_gcd {lc_gcd(a)}",
             f"lc_berlekamp_massey {lc_berlekamp_massey(a)}",
-            f"two_adic_gcd {two_adic_gcd(a)}",
+            f"two_adic_gcd {Decimal(two_adic_gcd(a))}",
         ]
         _out("\n".join(lines) + "\n", args.out)
         return 0

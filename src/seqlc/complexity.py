@@ -7,6 +7,21 @@ and a Berlekamp-Massey synthesis in discrepancy form are separate code over
 separate inputs (BM reads only the 2N-term stream), so each is an oracle for
 the other, although the two algorithms are equivalent (Dornstetter 1987).
 
+The gcd route splits the repeated roots of x^N - 1, as Games and Chan do
+for period 2^k (IEEE Trans. IT 29(1), 1983).  Write N = 2^e m with m odd.
+Over GF(2), x^N - 1 = f^(2^e) with f = x^m - 1 squarefree, and an
+irreducible factor of f divides S at least k times iff it divides the
+Hasse derivatives D^(j) S for every j < k (Hasse, J. reine angew. Math.
+175, 1936).  So deg gcd(S, x^N - 1) = sum over k <= 2^e of deg h_k, with
+h_0 = f and h_k = gcd(h_(k-1), D^(k-1) S mod f), and the sum stops at the
+first h_k = 1.  D^(j) x^i = C(i, j) x^(i-j), and by Lucas C(i, j) is odd
+iff i & j == j, so D^(j) S = (S & M_j) >> j for a mask M_j of period 2^e
+that depends only on N.  For N = 4n that is up to four n-bit gcds in place
+of one 4n-bit Euclid.  Odd N is the one Euclid gcd(S, x^N - 1) itself.  The
+masks cost O(N * 2^e), 2^(2k) at N = 2^k, so a period with 2^e > 8 (only a
+sequence file can have one) takes the one Euclid.  The route reads only
+S and N: never a, b, the z-sets or the 2n + 2 ceiling.
+
 For the period-4n interleaved sequence w(a, b) of two ideal-autocorrelation
 sequences there is a closed form
 
@@ -23,6 +38,7 @@ gcd(S(2), 2^N - 1) = 1, evaluated with big-integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Literal
@@ -39,12 +55,52 @@ from .sequences import (
 )
 
 
+# The largest 2^e that lc_gcd splits x^N - 1 into: its masks cost O(N * 2^e).
+_MAX_SPLIT = 8
+
+
+@functools.lru_cache(maxsize=64)
+def _hasse_split(N: int) -> tuple:
+    """(f, (M_j for j < 2^e), ((w, 2^w - 1) for each fold)) for N = 2^e m, m odd.
+
+    f = x^m + 1.  M_j holds the bits i < N with i & j == j, a pattern of
+    period 2^e repeated m times.  The folds halve the width from N down to m.
+    """
+    two_e = N & -N
+    repeat = ((1 << N) - 1) // ((1 << two_e) - 1)  # bit 2^e * t for each t < m
+    masks = tuple(
+        repeat * sum(1 << i for i in range(two_e) if i & j == j) for j in range(two_e)
+    )
+    folds = tuple((N >> k, (1 << (N >> k)) - 1) for k in range(1, two_e.bit_length()))
+    return (1 << (N // two_e)) | 1, masks, folds
+
+
 def lc_gcd(a: BinarySeq) -> int:
-    """Linear complexity as N - deg gcd(S_a(x), x^N - 1); 0 for the zero sequence."""
-    if a.mask == 0:
-        return 0
-    N = a.period
-    return N + 1 - gcd(a.mask, (1 << N) | 1).bit_length()
+    """Linear complexity as N - deg gcd(S_a(x), x^N - 1); 0 for the zero sequence.
+
+    The degree is the sum of deg h_k, h_k = gcd(h_(k-1), D^(k-1) S mod f),
+    over k <= 2^e (see the module docstring): h_k is the product of the
+    factors of f = x^m - 1 that divide S at least k times.  S & M_j is
+    x^j D^(j) S by Lucas, and x^j is a unit mod f, so the gcd takes it
+    unshifted, reduced mod f by e halving XOR folds, since x^(N/2) = 1 mod
+    f.  The loop stops at the first h_k = 1.  For 2^e > _MAX_SPLIT, building
+    the 2^e masks of N bits would cost more than the split saves, so one
+    Euclid takes x^N - 1 whole.
+    """
+    N, S = a.period, a.mask
+    if N & -N > _MAX_SPLIT:
+        return N + 1 - gcd(S, (1 << N) | 1).bit_length()
+    h, masks, folds = _hasse_split(N)
+    deg = 0
+    for M in masks:
+        D = S & M
+        for width, low in folds:
+            D = (D & low) ^ (D >> width)
+        h = gcd(D, h)
+        if h == 1:
+            break
+        deg += h.bit_length() - 1
+    return N - deg
 
 
 def lc_berlekamp_massey(a: BinarySeq) -> int:

@@ -74,6 +74,58 @@ class TestLcGcd:
             assert lc_gcd(a) == l
             assert lc_berlekamp_massey(a) == l
 
+    @staticmethod
+    def one_euclid(a):
+        """N - deg gcd(S, x^N + 1) by one Euclid over the whole x^N + 1."""
+        N = a.period
+        return N + 1 - gcd(a.mask, (1 << N) | 1).bit_length()
+
+    def test_every_mask_up_to_period_12(self):
+        for n in range(1, 13):
+            for mask in range(2**n):
+                a = BinarySeq(mask, n)
+                assert lc_gcd(a) == self.one_euclid(a), (n, mask)
+
+    def test_random_and_extreme_masks_up_to_period_70(self):
+        rng = random.Random(26)
+        for n in range(1, 71):
+            ones = (1 << n) - 1
+            masks = [0, ones] + [rng.getrandbits(n) for _ in range(20)]
+            for j in range(n):
+                masks += [1 << j, ones ^ (1 << j)]
+            for mask in masks:
+                a = BinarySeq(mask, n)
+                assert lc_gcd(a) == self.one_euclid(a), (n, mask)
+
+    def check_periods(self, periods):
+        rng = random.Random(26)
+        for period in periods:
+            ones = (1 << period) - 1
+            masks = [0, ones, 1, ones ^ 1, 1 << (period - 1)]
+            masks += [rng.getrandbits(period) for _ in range(3)]
+            for mask in masks:
+                a = BinarySeq(mask, period)
+                assert lc_gcd(a) == self.one_euclid(a), (period, mask)
+
+    def test_periods_4n(self):
+        self.check_periods(4 * n for n in range(3, 900, 4))
+
+    def test_largest_split(self):
+        self.check_periods([24, 8 * 127])  # 2^e = 8
+
+    def test_plain_euclid_periods(self):
+        self.check_periods([16, 48, 1024, 8192])  # 2^e > 8
+
+    def test_interleavings_at_paper_periods(self):
+        for a, b in [
+            (legendre_seq(23), legendre_seq(23, "ell_prime")),
+            (hall_seq(43), legendre_seq(43, "ell_prime")),
+            (twin_prime_seq(5), twin_prime_seq(5, "tau_t")),
+        ]:
+            for r in range(3):
+                w = tang_ding(a, shift(b, r))
+                assert lc_gcd(w) == self.one_euclid(w) == lc_berlekamp_massey(w)
+
 
 class TestBerlekampMassey:
     def test_all_zero(self):
@@ -93,6 +145,16 @@ class TestBerlekampMassey:
             n = rng.choice(range(1, 128, 2))
             a = BinarySeq(rng.getrandbits(n), n)
             assert lc_gcd(a) == lc_berlekamp_massey(a)
+
+    def test_oracle_equivalence_random_even_periods(self):
+        # Periods N = 2^e m with 2^e > 1 take lc_gcd through the Hasse
+        # derivatives (2^e <= 8) or one Euclid (2^e > 8).
+        rng = random.Random(3)
+        periods = [4 * n for n in range(1, 64, 2)] + list(range(2, 160, 2))
+        for _ in range(300):
+            n = rng.choice(periods)
+            a = BinarySeq(rng.getrandbits(n), n)
+            assert lc_gcd(a) == lc_berlekamp_massey(a), (n, a.mask)
 
     def test_oracle_equivalence_families(self):
         pool = [

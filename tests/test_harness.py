@@ -6,6 +6,7 @@ import math
 import os
 import time
 from collections import Counter
+from decimal import Decimal
 
 import pytest
 
@@ -815,6 +816,20 @@ class TestCli:
             f"error: {over}: sequence longer than the period ceiling "
             f"{harness.MAX_PERIOD}\n"
         )
+
+    @pytest.mark.parametrize("period", [8192, 8 * 2047])  # 2^e = 8192 and 8
+    def test_lc_of_all_ones_at_the_ceiling(self, tmp_path, capsys, period):
+        # All ones is (x^N + 1) / (x + 1): the largest gcd, and a 2-adic gcd of
+        # 2^N - 1, whose 4930 digits at N = 16376 exceed str(int)'s default limit.
+        path = tmp_path / "ones.txt"
+        path.write_text("1" * period + "\n")
+        assert period <= harness.MAX_PERIOD
+        assert main(["lc", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [f"period {period}", "lc_gcd 1", "lc_berlekamp_massey 1"]
+        key, value = lines[3].split()
+        assert key == "two_adic_gcd" and Decimal(value) == (1 << period) - 1
+        assert len(lines) == 4
 
     def test_report_ceiling(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "r.json"
