@@ -41,11 +41,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Literal
 
-from .f2poly import gcd, mul_mod, stretch
+from .f2poly import gcd
 from .interleave import tang_ding
-from .numtheory import is_prime
 from .sequences import (
     BinarySeq,
     GroupElement,
@@ -153,24 +151,6 @@ def z_set_sizes(a: BinarySeq, b: BinarySeq) -> tuple[int, int]:
     return gcd(a.mask, g_sum).bit_length() - 1, g_sum.bit_length() - 1
 
 
-def lemma1_poly(a: BinarySeq, b: BinarySeq) -> int:
-    """Closed form of the period polynomial of w(a, b), reduced mod x^4n - 1.
-
-    Equals (1 + x^2n) * S_a(x^4) + (x^n + x^3n) * S_b(x^4)
-    + x^3 * (1 + x^4 + ... + x^(4(n-1))); holds for arbitrary a, b of
-    period n = 3 mod 4, no autocorrelation assumption.
-    """
-    n = a.period
-    if b.period != n:
-        raise ValueError("sequences must share one period")
-    if n % 4 != 3:
-        raise ValueError(f"period must be 3 mod 4, got {n}")
-    modulus = (1 << (4 * n)) | 1
-    term_a = mul_mod(1 | (1 << (2 * n)), stretch(a.mask, 4), modulus)
-    term_b = mul_mod((1 << n) | (1 << (3 * n)), stretch(b.mask, 4), modulus)
-    return term_a ^ term_b ^ (stretch((1 << n) - 1, 4) << 3)
-
-
 def two_adic_gcd(a: BinarySeq) -> int:
     """gcd(S_a(2), 2^N - 1) as an exact big integer."""
     return math.gcd(a.mask, (1 << a.period) - 1)
@@ -179,35 +159,6 @@ def two_adic_gcd(a: BinarySeq) -> int:
 def two_adic_max(a: BinarySeq) -> bool:
     """True iff the 2-adic complexity is maximal, i.e. gcd(S_a(2), 2^N - 1) = 1."""
     return two_adic_gcd(a) == 1
-
-
-def gauss_sum_poly(
-    p: int, q: int, which: Literal["p", "q"], eps: int
-) -> int:
-    """Quadratic-residue indicator polynomial for one prime of a pair.
-
-    For which="p" this is the sum of x^(q*i) over 1 <= i < p with
-    (i/p) = eps; for which="q" the roles swap.  Degree stays below pq.
-    """
-    if p == q:
-        raise ValueError("primes must be distinct")
-    for v in (p, q):
-        if v % 2 == 0 or not is_prime(v):
-            raise ValueError(f"{v} is not an odd prime")
-    if eps not in (1, -1):
-        raise ValueError("eps must be +1 or -1")
-    if which == "p":
-        modulus, multiplier = p, q
-    elif which == "q":
-        modulus, multiplier = q, p
-    else:
-        raise ValueError(f"which must be 'p' or 'q', got {which!r}")
-    residues = {i * i % modulus for i in range(1, modulus)}
-    bits = 0
-    for i in range(1, modulus):
-        if (i in residues) == (eps == 1):
-            bits |= 1 << (multiplier * i)
-    return bits
 
 
 @dataclass(frozen=True)

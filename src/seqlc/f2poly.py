@@ -6,15 +6,15 @@ integer is S(2), which the 2-adic check reads as it is.  The degree of a
 nonzero f is f.bit_length() - 1, and addition is XOR.
 
 Nonzero polynomials over GF(2) are automatically monic, so gcds need no
-normalization.  Multiplication is schoolbook with word-level shifts;
-degrees stay around 4n (a few thousand) at desk scale, where this is
-faster than any asymptotically clever scheme would pay for.  No caller
-needs a quotient, so none is built: mul_mod and pow_mod reduce through one
+normalization.  Multiplication is schoolbook with word-level shifts; its
+one caller, pow_mod, multiplies residues mod an m-sequence's degree-l
+characteristic polynomial, where nothing cleverer would pay.  No caller
+needs a quotient, so none is built: pow_mod reduces through one
 remainder-only long division, _mod_int, and gcd runs the same shift-XOR
 reduction inline as one Euclid loop, with no call per step.
 
-Bit-level rearrangements (spreading, interleaving, sampling, text and
-tuple conversion) all go through one byte-per-bit view of a mask,
+Bit-level rearrangements (interleaving, sampling, text and tuple
+conversion) all go through one byte-per-bit view of a mask,
 _bit_view and _view_mask, so that they run as C-level string and
 strided-slice operations instead of per-bit Python loops.
 """
@@ -61,14 +61,6 @@ def _require_polys(*polys: int) -> None:
         raise ValueError("a packed polynomial must be a nonnegative int")
 
 
-def mul_mod(f: int, g: int, m: int) -> int:
-    """(f * g) reduced mod m; m must be nonzero."""
-    _require_polys(f, g, m)
-    if m == 0:
-        raise ZeroDivisionError("zero modulus")
-    return _mod_int(_mul_int(f, g), m)
-
-
 def gcd(f: int, g: int) -> int:
     """Greatest common divisor; gcd(0, g) = g and gcd(0, 0) = 0.
 
@@ -100,16 +92,3 @@ def pow_mod(f: int, e: int, m: int) -> int:
         base = _mod_int(_mul_int(base, base), m)
         e >>= 1
     return result
-
-
-def stretch(f: int, k: int) -> int:
-    """Substitute x -> x**k, spreading coefficient i to position k*i."""
-    if k < 1:
-        raise ValueError("stretch factor must be positive")
-    _require_polys(f)
-    n = f.bit_length()
-    if k == 1 or n == 0:
-        return f
-    view = bytearray(b"0") * (k * n)
-    view[::k] = _bit_view(f, n)
-    return _view_mask(view)

@@ -394,7 +394,7 @@ def _hall_s_reps(p: int) -> list[int]:
     """One sample index per cyclotomic class of order 6.  A sixth power maps
     each class to itself, so M_s of the Hall sequence (D0 u D1 u D3) and the
     Legendre symbol of s depend only on the class of s."""
-    return sorted(map(min, hall_construction(p)[1].classes))
+    return sorted(map(min, hall_construction(p)[1]))
 
 
 def theorem5_campaigns() -> list[CampaignSpec]:
@@ -430,7 +430,7 @@ def example1_campaign() -> list[CampaignSpec]:
     """Hall pair (h, L^2 M_j(h)), j in D4, at p = 31 = 7 mod 8: LC = (2p+10)/3."""
     p = 31
     _, classes = hall_construction(p)
-    grid = tuple(GroupElement(2, j) for j in sorted(classes.classes[4]))
+    grid = tuple(GroupElement(2, j) for j in sorted(classes[4]))
     claim = Expectation(lc_exact=(2 * p + 10) // 3)
     return [CampaignSpec(f"example1-p{p}", "hall", "hall", p, grid, claim)]
 

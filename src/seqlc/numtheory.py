@@ -1,5 +1,5 @@
-"""Elementary number theory: primality, Legendre symbols, primitive roots,
-modular inverses and sextic cyclotomic classes.
+"""Elementary number theory: primality, factorization, Legendre symbols,
+the primitive roots of a prime and sextic cyclotomic classes.
 
 All operations are pure functions on plain integers; residues are always
 normalized to [0, modulus).  Primality is a deterministic Miller-Rabin with
@@ -7,9 +7,6 @@ a fixed base set, exact far beyond the desk scale (< 2^64) used here.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 # Deterministic for all n < 3_317_044_064_679_887_385_961_981 (Sorenson & Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -74,11 +71,6 @@ def legendre_symbol(i: int, p: int) -> int:
     return 1 if e == 1 else -1
 
 
-def primitive_root(p: int) -> int:
-    """Smallest primitive root modulo the odd prime p."""
-    return next(primitive_roots(p))
-
-
 def primitive_roots(p: int):
     """Yield all primitive roots mod p in increasing order."""
     _require_odd_prime(p)
@@ -88,39 +80,16 @@ def primitive_roots(p: int):
             yield g
 
 
-def mod_inverse(s: int, n: int) -> int:
-    """Inverse of s mod n in [1, n-1]; raises ValueError when gcd(s, n) > 1."""
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    g = math.gcd(s, n)
-    if g != 1:
-        raise ValueError(f"{s} is not invertible mod {n} (gcd = {g})")
-    return pow(s, -1, n)
-
-
-@dataclass(frozen=True)
-class CyclotomicClasses:
-    """Partition of {1, ..., p-1} into the six cosets g^k * <g^6>.
-
-    classes[k] holds the k-th coset; classes[0] is the sixth powers.
-    """
-
-    p: int
-    g: int
-    classes: tuple[frozenset[int], ...]
-
-
-def cyclotomic_classes6(p: int, g: int | None = None) -> CyclotomicClasses:
+def cyclotomic_classes6(p: int, g: int) -> tuple[frozenset[int], ...]:
     """Cyclotomic classes of order 6 mod p (requires p prime, p = 1 mod 6).
 
-    The coset representatives are powers of g, by default the smallest
-    primitive root; pass g explicitly to fix a different labeling.
+    The six cosets g^k * <g^6> partition {1, ..., p-1}; entry k holds the
+    k-th, so entry 0 is the sixth powers.  g is a primitive root mod p, and
+    the labeling of the cosets depends on which one.
     """
     _require_odd_prime(p)
     if (p - 1) % 6 != 0:
         raise ValueError(f"6 does not divide {p} - 1")
-    if g is None:
-        g = primitive_root(p)
     g6 = pow(g, 6, p)
     base = []
     x = 1
@@ -131,4 +100,4 @@ def cyclotomic_classes6(p: int, g: int | None = None) -> CyclotomicClasses:
     for k in range(6):
         gk = pow(g, k, p)
         classes.append(frozenset(gk * d % p for d in base))
-    return CyclotomicClasses(p=p, g=g, classes=tuple(classes))
+    return tuple(classes)

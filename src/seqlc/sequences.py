@@ -141,9 +141,9 @@ def shift(a: BinarySeq, r: int) -> BinarySeq:
 def sample(a: BinarySeq, s: int) -> BinarySeq:
     """M_s: output bit i is input bit s*i mod period; s must be coprime."""
     n = a.period
-    s %= n
     if math.gcd(s, n) != 1:
         raise ValueError(f"sample index {s} is not coprime to period {n}")
+    s %= n
     if s == 1 or n == 1:
         return a
     # Output bits i = 0, 1, ... read inputs 0, s, 2s, ... mod n: runs of
@@ -155,11 +155,6 @@ def sample(a: BinarySeq, s: int) -> BinarySeq:
 def apply_group(a: BinarySeq, sigma: GroupElement) -> BinarySeq:
     """Apply L^r M_s: first sample by sigma.s, then shift by sigma.r."""
     return shift(sample(a, sigma.s), sigma.r)
-
-
-def autocorrelation(a: BinarySeq, tau: int) -> int:
-    """Signed correlation of a with its shift by tau: sum of (-1)^(a_i + a_{i+tau})."""
-    return a.period - 2 * (a.mask ^ shift(a, tau).mask).bit_count()
 
 
 # Shifts per right shift of the two-period int in _and_counts.  At N = 3596
@@ -250,11 +245,6 @@ def primitive_polynomials(l: int) -> Iterator[int]:
     return filter(is_primitive_polynomial, range((1 << l) | 1, 1 << (l + 1), 2))
 
 
-def primitive_polynomial(l: int) -> int:
-    """The degree-l primitive polynomial with the smallest integer encoding."""
-    return next(primitive_polynomials(l))
-
-
 def m_sequence(l: int, char_poly: int | None = None) -> BinarySeq:
     """Maximal-length LFSR sequence of period 2**l - 1.
 
@@ -266,7 +256,7 @@ def m_sequence(l: int, char_poly: int | None = None) -> BinarySeq:
     if l < 2:
         raise ValueError("degree must be at least 2")
     if char_poly is None:
-        char_poly = primitive_polynomial(l)
+        char_poly = next(primitive_polynomials(l))
     if char_poly >> l != 1:  # degree exactly l, and no negative encoding
         raise ValueError(f"characteristic polynomial must have degree {l}")
     if not is_primitive_polynomial(char_poly):
@@ -318,8 +308,8 @@ def hall_parameter(p: int) -> int | None:
     return x if 4 * x * x + 27 == p else None
 
 
-def hall_construction(p: int):
-    """Hall sequence plus the cyclotomic classes that produced it.
+def hall_construction(p: int) -> tuple[BinarySeq, tuple[frozenset[int], ...]]:
+    """Hall sequence plus the six cyclotomic classes that produced it.
 
     The class labeling depends on the primitive root; roots are tried in
     increasing order and the construction is accepted only once the
@@ -332,7 +322,7 @@ def hall_construction(p: int):
         classes = cyclotomic_classes6(p, g)
         mask = 0
         for d in (0, 1, 3):
-            for i in classes.classes[d]:
+            for i in classes[d]:
                 mask |= 1 << i
         h = BinarySeq(mask, p)
         if is_ideal(h):

@@ -10,14 +10,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from seqlc.complexity import (
-    analyze_pair,
-    gauss_sum_poly,
-    lc_berlekamp_massey,
-    lc_gcd,
-    lemma1_poly,
-)
-from seqlc.f2poly import mul_mod, stretch
+from seqlc.complexity import analyze_pair, lc_berlekamp_massey, lc_gcd
 from seqlc.harness import (
     bound_campaigns,
     example1_campaign,
@@ -41,6 +34,7 @@ from seqlc.sequences import (
     shift,
     twin_prime_seq,
 )
+from oracles import gauss_sum_poly, lemma1_poly, mul_mod, stretch
 
 _cache: dict = {}
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import os
@@ -5,6 +6,8 @@ import pickle
 import random
 import subprocess
 import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,15 +15,13 @@ import seqlc
 from seqlc.complexity import (
     LCReport,
     analyze_pair,
-    gauss_sum_poly,
     lc_berlekamp_massey,
     lc_gcd,
-    lemma1_poly,
     two_adic_gcd,
     two_adic_max,
     z_set_sizes,
 )
-from seqlc.f2poly import gcd, mul_mod, stretch
+from seqlc.f2poly import gcd
 from seqlc.interleave import tang_ding
 from seqlc.sequences import (
     BinarySeq,
@@ -31,10 +32,11 @@ from seqlc.sequences import (
     hall_seq,
     legendre_seq,
     m_sequence,
-    primitive_polynomial,
+    primitive_polynomials,
     shift,
     twin_prime_seq,
 )
+from oracles import gauss_sum_poly, lemma1_poly, mul_mod, stretch
 
 
 def list_berlekamp_massey(bits):
@@ -239,7 +241,7 @@ class TestInterleavedFormula:
 
     def test_hall_example(self):
         h, classes = hall_construction(31)
-        for j in classes.classes[4]:
+        for j in classes[4]:
             b = apply_group(h, GroupElement(2, j))
             assert analyze_pair(h, b).lc_formula == 24
 
@@ -392,7 +394,7 @@ class TestAnalyzePair:
 
     def test_hall_31_example(self):
         h, classes = hall_construction(31)
-        j = min(classes.classes[4])
+        j = min(classes[4])
         rep = analyze_pair(h, apply_group(h, GroupElement(2, j)))
         assert rep.lc_direct == rep.lc_bm == rep.lc_formula == 24
 
@@ -444,7 +446,7 @@ class TestAnalyzePair:
         h, classes = hall_construction(31)
         ell = legendre_seq(31)
         ell_prime = legendre_seq(31, "ell_prime")
-        reps = [min(c) for c in classes.classes]
+        reps = [min(c) for c in classes]
         for r in (0, 1, 7):
             for s in reps:
                 b = apply_group(h, GroupElement(r, s))
@@ -456,7 +458,7 @@ def test_polynomials_are_plain_ints():
     a, b = legendre_seq(7), legendre_seq(7, "ell_prime")
     assert type(lemma1_poly(a, b)) is int
     assert type(gauss_sum_poly(5, 7, "p", 1)) is int
-    assert type(primitive_polynomial(5)) is int
+    assert type(next(primitive_polynomials(5))) is int
 
 
 def test_package_exports_resolve():
@@ -464,6 +466,38 @@ def test_package_exports_resolve():
     namespace = {}
     exec("from seqlc import *", namespace)
     assert set(seqlc.__all__) <= set(namespace)
+    assert set(seqlc.__all__) == {
+        "BinarySeq", "GroupElement", "LCReport", "analyze_pair", "apply_group",
+        "autocorrelation_profile", "complement", "cyclotomic_classes6", "hall_seq",
+        "is_ideal", "is_optimal", "is_prime", "lc_berlekamp_massey", "lc_gcd",
+        "legendre_seq", "legendre_symbol", "m_sequence", "sample", "shift",
+        "tang_ding", "twin_prime_seq", "two_adic_gcd", "two_adic_max", "z_set_sizes",
+    }
+
+
+def test_every_top_level_definition_is_used_or_exported():
+    # A function or class that only the tests reach belongs in tests/oracles.py.
+    def names(tree):
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(seqlc.__file__).parent.glob("*.py"))
+    }
+    refs = sum(map(names, trees.values()), Counter())
+    unused = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and refs[node.name] == names(node)[node.name]  # only its own body names it
+        and node.name not in seqlc.__all__
+    ]
+    assert unused == []
 
 
 def test_runtime_imports_only_the_standard_library():

@@ -30,12 +30,10 @@ from seqlc.harness import (
     theorem5_campaigns,
     theorem9_campaigns,
 )
-from seqlc.interleave import interleave4
 from seqlc.numtheory import legendre_symbol
 from seqlc.sequences import (
     GroupElement,
     apply_group,
-    autocorrelation,
     complement,
     hall_construction,
     is_ideal,
@@ -44,6 +42,7 @@ from seqlc.sequences import (
     shift,
     twin_prime_seq,
 )
+from oracles import autocorrelation, interleave4
 from test_complexity import list_berlekamp_massey
 
 
@@ -678,7 +677,7 @@ class TestNamedCampaigns:
         # Why a Hall grid takes one s per cyclotomic class: every other unit
         # of the class gives the same sequence and the same Legendre symbol.
         h, classes = hall_construction(p)
-        reps = {s: min(cls) for cls in classes.classes for s in cls}
+        reps = {s: min(cls) for cls in classes for s in cls}
         assert sorted(reps) == list(range(1, p))
         assert harness._hall_s_reps(p) == sorted(set(reps.values()))
         for s, rep in reps.items():
@@ -756,6 +755,11 @@ class TestCli:
                 None,
                 "campaign msequence has no grid at that parameter",
             ),
+            (
+                ["gen", "hall", "--p", "31", "--s", "31"],
+                None,
+                "sample index 31 is not coprime to period 31",
+            ),
         ],
         ids=[
             "gen-no-p", "msequence-no-l", "verify-no-grid", "variant-not-msequence",
@@ -766,7 +770,7 @@ class TestCli:
             "report-point-r-string", "report-json-not-a-report",
             "report-nested-too-deep", "verify-p-and-l",
             "msequence-bad-variant", "msequence-not-primitive",
-            "msequence-no-alt", "verify-p-on-msequence",
+            "msequence-no-alt", "verify-p-on-msequence", "gen-s-not-coprime",
         ],
     )
     def test_bad_input_is_one_line_error(

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from seqlc.interleave import crt_component, interleave4, is_optimal, tang_ding
+from seqlc.interleave import is_optimal, tang_ding
 from seqlc.sequences import (
     BinarySeq,
-    autocorrelation,
     complement,
     hall_seq,
     legendre_seq,
     shift,
 )
+from oracles import autocorrelation, crt_component, interleave4
 
 
 class TestInterleave4:

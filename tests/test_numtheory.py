@@ -1,25 +1,26 @@
-import math
 import random
 
 import pytest
 
-from seqlc.interleave import crt_component
 from seqlc.numtheory import (
-    CyclotomicClasses,
     cyclotomic_classes6,
     factorize,
     is_prime,
     legendre_symbol,
-    mod_inverse,
-    primitive_root,
     primitive_roots,
 )
 from seqlc.sequences import BinarySeq
+from oracles import crt_component
 
 
-def label_of(cc, x):
-    """Index k with x in cc.classes[k]."""
-    return next(k for k, cls in enumerate(cc.classes) if x % cc.p in cls)
+def classes6(p):
+    """The sextic classes labeled by the smallest primitive root mod p."""
+    return cyclotomic_classes6(p, next(primitive_roots(p)))
+
+
+def label_of(classes, x):
+    """Index k with the residue x in classes[k]."""
+    return next(k for k, cls in enumerate(classes) if x in cls)
 
 
 def trial_division_is_prime(n):
@@ -97,13 +98,13 @@ class TestPrimitiveRoot:
         # orders of 2, 3 mod 7 are 3 and 6
         assert brute_force_order(2, 7) == 3
         assert brute_force_order(3, 7) == 6
-        assert primitive_root(7) == 3
-        assert primitive_root(31) == 3
-        assert primitive_root(5) == 2
+        assert next(primitive_roots(7)) == 3
+        assert next(primitive_roots(31)) == 3
+        assert next(primitive_roots(5)) == 2
 
     def test_smallest_by_brute_force(self):
         for p in (3, 5, 7, 11, 13, 19, 23, 31, 43, 283):
-            g = primitive_root(p)
+            g = next(primitive_roots(p))
             assert brute_force_order(g, p) == p - 1
             assert all(brute_force_order(h, p) != p - 1 for h in range(2, g))
 
@@ -115,28 +116,7 @@ class TestPrimitiveRoot:
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
-            primitive_root(15)
-
-
-class TestModInverse:
-    def test_known_values(self):
-        assert mod_inverse(1, 9) == 1
-        assert mod_inverse(4, 7) == 2
-
-    def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError):
-            mod_inverse(3, 9)
-
-    def test_inverse_property(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            n = rng.randrange(2, 500)
-            s = rng.randrange(1, n)
-            if math.gcd(s, n) != 1:
-                continue
-            inv = mod_inverse(s, n)
-            assert 1 <= inv < n
-            assert s * inv % n == 1
+            next(primitive_roots(15))
 
 
 class TestCrtIndex:
@@ -153,52 +133,50 @@ class TestCrtIndex:
     @pytest.mark.parametrize("n", [3, 7, 11, 19, 35])
     def test_beta_star_is_a_permutation(self, n):
         # beta -> beta* with 4 beta* = beta (mod n) must be a bijection on Z_n
-        inv4 = mod_inverse(4 % n, n)
+        inv4 = pow(4, -1, n)
         image = {beta * inv4 % n for beta in range(n)}
         assert image == set(range(n))
 
 
 class TestCyclotomicClasses:
     def test_d0_for_31(self):
-        cc = cyclotomic_classes6(31)
+        classes = classes6(31)
         # powers of 3**6 = 16 mod 31
-        assert cc.g == 3
-        assert cc.classes[0] == frozenset({1, 2, 4, 8, 16})
+        assert classes[0] == frozenset({1, 2, 4, 8, 16})
 
     def test_residuacity_of_two(self):
         # 31 = 7 mod 8: 2 is a sextic residue; 43 = 3 mod 8: 2 is cubic only
-        assert label_of(cyclotomic_classes6(31), 2) == 0
-        assert label_of(cyclotomic_classes6(43), 2) == 3
+        assert label_of(classes6(31), 2) == 0
+        assert label_of(classes6(43), 2) == 3
 
     @pytest.mark.parametrize("p", [7, 13, 31, 43, 283])
     def test_invariants(self, p):
-        cc = cyclotomic_classes6(p)
+        classes = classes6(p)
+        assert len(classes) == 6
         union = set()
-        for cls in cc.classes:
+        for cls in classes:
             assert len(cls) == (p - 1) // 6
             union |= cls
         assert union == set(range(1, p))
 
     def test_product_law(self):
         p = 31
-        cc = cyclotomic_classes6(p)
+        classes = classes6(p)
         rng = random.Random(9)
         for _ in range(100):
             x = rng.randrange(1, p)
             y = rng.randrange(1, p)
-            lam = label_of(cc, x)
-            mu = label_of(cc, y)
-            assert label_of(cc, x * y % p) == (lam + mu) % 6
+            lam = label_of(classes, x)
+            mu = label_of(classes, y)
+            assert label_of(classes, x * y % p) == (lam + mu) % 6
 
     def test_rejects_wrong_residue(self):
         with pytest.raises(ValueError):
-            cyclotomic_classes6(11)  # 6 does not divide 10
+            cyclotomic_classes6(11, 2)  # 6 does not divide 10
 
     def test_explicit_root(self):
-        cc = cyclotomic_classes6(31, g=11)
-        assert isinstance(cc, CyclotomicClasses)
-        assert cc.g == 11
-        assert cc.classes[0] == frozenset(
+        classes = cyclotomic_classes6(31, g=11)
+        assert classes[0] == frozenset(
             pow(11, 6 * k, 31) for k in range(5)
         )
 

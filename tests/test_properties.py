@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqlc.complexity import LCReport, analyze_pair, lc_berlekamp_massey, z_set_sizes
-from seqlc.f2poly import _mod_int, _mul_int, gcd, mul_mod, stretch
+from seqlc.f2poly import _mod_int, _mul_int, gcd
 from seqlc.harness import (
     FAMILIES,
     CampaignResult,
@@ -32,13 +32,12 @@ from seqlc.harness import (
     PairResult,
     results_to_json,
 )
-from seqlc.interleave import crt_component, interleave4, is_optimal, tang_ding
+from seqlc.interleave import is_optimal, tang_ding
 from seqlc.sequences import (
     BinarySeq,
     GroupElement,
     _and_counts,
     apply_group,
-    autocorrelation,
     autocorrelation_profile,
     complement,
     is_ideal,
@@ -48,6 +47,7 @@ from seqlc.sequences import (
     shift,
     twin_prime_seq,
 )
+from oracles import autocorrelation, crt_component, interleave4, mul_mod, stretch
 from test_complexity import list_berlekamp_massey
 
 MAX_N = 200

@@ -12,7 +12,6 @@ from seqlc.sequences import (
     GroupElement,
     _and_counts,
     apply_group,
-    autocorrelation,
     autocorrelation_profile,
     complement,
     hall_construction,
@@ -22,12 +21,12 @@ from seqlc.sequences import (
     is_primitive_polynomial,
     legendre_seq,
     m_sequence,
-    primitive_polynomial,
     primitive_polynomials,
     sample,
     shift,
     twin_prime_seq,
 )
+from oracles import autocorrelation
 
 
 def rotations(bits):
@@ -144,6 +143,12 @@ class TestSample:
         a = BinarySeq.zeros(9)
         with pytest.raises(ValueError):
             sample(a, 3)
+
+    @pytest.mark.parametrize("s", [12, -6])
+    def test_error_names_the_given_index(self, s):
+        # The index as given, not its residue 3 mod 9.
+        with pytest.raises(ValueError, match=f"^sample index {s} is not coprime to period 9$"):
+            sample(BinarySeq.zeros(9), s)
 
     def test_definition(self):
         a = BinarySeq.from_bits([0, 1, 0, 1, 1, 0, 1])
@@ -310,7 +315,7 @@ class TestMSequence:
             primitive_polynomials(1)
 
     def test_primitive_polynomial_selection(self):
-        assert primitive_polynomial(3) == 0b1011
+        assert next(primitive_polynomials(3)) == 0b1011
         assert list(primitive_polynomials(3)) == [0b1011, 0b1101]
         assert is_primitive_polynomial(0b10011)  # x^4 + x + 1
         assert not is_primitive_polynomial(0b11111)
@@ -371,7 +376,7 @@ class TestHall:
         h, classes = hall_construction(31)
         members = set()
         for d in (0, 1, 3):
-            members |= classes.classes[d]
+            members |= classes[d]
         assert {i for i in range(31) if h[i]} == members
 
     def test_rejects_bad_p(self):
