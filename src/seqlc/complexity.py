@@ -4,8 +4,9 @@ For a period-N binary sequence the linear complexity is N minus the degree
 of gcd(S(x), x^N - 1), where S is the period polynomial: the sequence's
 mask read as a packed GF(2) polynomial (see f2poly).  That gcd route
 and a Berlekamp-Massey synthesis in discrepancy form are separate code over
-separate inputs (BM reads only the 2N-term stream), so each is an oracle for
-the other, although the two algorithms are equivalent (Dornstetter 1987).
+separate inputs (BM reads only the 2N-term stream, reversed, one XOR per
+nonzero discrepancy), so each is an oracle for the other, although the two
+algorithms are equivalent (Dornstetter 1987).
 
 The gcd route splits the repeated roots of x^N - 1, as Games and Chan do
 for period 2^k (IEEE Trans. IT 29(1), 1983).  Write N = 2^e m with m odd.
@@ -104,27 +105,28 @@ def lc_gcd(a: BinarySeq) -> int:
 def lc_berlekamp_massey(a: BinarySeq) -> int:
     """Length of the shortest GF(2) LFSR generating the periodic extension.
 
-    Massey's synthesis over the 2N terms S = s_0 .. s_{2N-1} (LC <= N), in
-    discrepancy form: d_k = (C*S)_k, so only D = C*S >> k and E = B*S >> m
-    are kept, m being B's step (B = 1 at m = -1, d = 1); C += x^(k-m) B is
-    D ^= E.  All 2N discrepancies are determined; zero ones cost nothing, as
-    the loop jumps to the next set bit of D.  It stops only at D = 0 or step
-    2N, never at 2n + 2 or N + L, and never reads x^N - 1 or the closed form.
+    Massey's synthesis over 2N terms (LC <= N) of the reversed stream
+    t_i = s_(2N-1-i).  A periodic sequence and its reversal share their LC,
+    since the reciprocal of the minimal polynomial has the same degree.
+    Kept with t_i at bit 2N-1-i, the reversed stream is the register of two
+    periods, bit j = s_j.  In discrepancy form only D = C*T and E = B*T are
+    kept, in that layout; E's top bit is at B's step m (B = 1 at m = -1,
+    where E carries d = 1 at bit 2N), and C += x^(k-m) B is D ^= E >> (k-m).
+    Every earlier discrepancy is zero, so the next nonzero one is at step
+    k = 2N - D.bit_length(), and D never shifts.  The test 2L <= k is read
+    as d <= room, with d = D.bit_length() and room = 2N - 2L.  Terms past 2N
+    fall off bit 0, and the loop ends at D = 0, never at 2n + 2 or N + L; it
+    never reads x^N - 1 or the closed form.
     """
-    N, S = a.period, a.mask | a.mask << a.period  # two periods, bit i = s_i
-    D, E, L, k = S, 1 | S << 1, 0, 0
-    while D:
-        low = D & 0xFFFFFFFF or D  # a word-sized AND finds the next bit nearly always
-        t = (low & -low).bit_length() - 1  # zero discrepancies to skip
-        k += t
-        if k >= 2 * N:
-            break
-        D >>= t
-        if 2 * L <= k:
-            D, E, L = D ^ E, D, k + 1 - L
-        else:
-            D ^= E
-    return L
+    N2 = 2 * a.period
+    D = a.mask | a.mask << a.period  # bit j = s_j = t_(2N-1-j)
+    E, e, room = D | 1 << N2, N2 + 1, N2  # e = E.bit_length() = 2N - m
+    while d := D.bit_length():
+        F = E >> (e - d)  # x^(k-m) B*T, its top bit on D's
+        if d <= room:  # L becomes k + 1 - L
+            E, e, room = D, d, 2 * d - 2 - room
+        D ^= F
+    return (N2 - room) // 2
 
 
 def z_set_sizes(a: BinarySeq, b: BinarySeq) -> tuple[int, int]:

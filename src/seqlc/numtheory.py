@@ -84,8 +84,9 @@ def cyclotomic_classes6(p: int, g: int) -> tuple[frozenset[int], ...]:
     """Cyclotomic classes of order 6 mod p (requires p prime, p = 1 mod 6).
 
     The six cosets g^k * <g^6> partition {1, ..., p-1}; entry k holds the
-    k-th, so entry 0 is the sixth powers.  g is a primitive root mod p, and
-    the labeling of the cosets depends on which one.
+    k-th, so entry 0 is the sixth powers.  g must be a primitive root mod p,
+    and the labeling of the cosets depends on which one.  Any other g is
+    rejected: its cosets would cover fewer than the p - 1 units.
     """
     _require_odd_prime(p)
     if (p - 1) % 6 != 0:
@@ -100,4 +101,6 @@ def cyclotomic_classes6(p: int, g: int) -> tuple[frozenset[int], ...]:
     for k in range(6):
         gk = pow(g, k, p)
         classes.append(frozenset(gk * d % p for d in base))
+    if len(frozenset().union(*classes)) != p - 1:
+        raise ValueError(f"{g} is not a primitive root mod {p}")
     return tuple(classes)

@@ -174,6 +174,13 @@ class TestCyclotomicClasses:
         with pytest.raises(ValueError):
             cyclotomic_classes6(11, 2)  # 6 does not divide 10
 
+    # 2 has order 5 mod 31, so its six cosets would all be {1, 2, 4, 8, 16};
+    # 5 and 30 have orders 3 and 2, and 0 and 31 are not units.
+    @pytest.mark.parametrize("g", [2, 5, 30, 0, 31])
+    def test_rejects_non_primitive_root(self, g):
+        with pytest.raises(ValueError, match=f"^{g} is not a primitive root mod 31$"):
+            cyclotomic_classes6(31, g)
+
     def test_explicit_root(self):
         classes = cyclotomic_classes6(31, g=11)
         assert classes[0] == frozenset(

@@ -11,6 +11,10 @@ one-loop gcd, the z-set sizes read from one gcd and the one-view w(a, b) are
 checked against their earlier definitions, kept here as references.  The
 ideal-autocorrelation check that analyze_pair makes on the base sequence,
 before sigma is applied, is checked against the check on sigma(b).
+Berlekamp-Massey, which runs over the reversed stream, is also checked at
+periods whose register ends at a 30-bit digit boundary, on masks with long
+runs at either end, and the list reference gives one LC for a sequence
+and its reversal.
 """
 
 import dataclasses
@@ -199,14 +203,50 @@ class TestBaseLevelCheck:
         assert analyze_pair(a, b, g) == analyze_pair(a, apply_group(b, g))
 
 
+# Periods 1..130, and the periods whose two-period register of 2N bits
+# sits at a 30-bit digit boundary of the int, give or take one bit.
+bm_periods = st.one_of(
+    st.integers(1, 130),
+    st.sampled_from([h + d for h in (15, 30, 45, 60, 120) for d in (-1, 0, 1)]),
+)
+
+
+@st.composite
+def run_biased_bits(draw):
+    """One period whose ends are long runs of zeros or of ones, either end."""
+    n = draw(bm_periods)
+    bits = bits_of(draw(st.integers(0, 2**n - 1)), n)
+    for end in (0, 1):
+        if draw(st.booleans()):
+            run = draw(st.integers(1, n))
+            value = draw(st.integers(0, 1))
+            if end:
+                bits[n - run:] = [value] * run
+            else:
+                bits[:run] = [value] * run
+    return bits
+
+
 class TestBerlekampMassey:
     @given(bit_lists(every_residue))
     def test_matches_list_reference(self, bits):
         assert lc_berlekamp_massey(seq(bits)) == list_berlekamp_massey(bits * 2)
 
-    # All-zero, all-one and impulse at N = 1 and 2: the loop never starts
-    # (D = 0), starts at step 0 or jumps over s_0, and its last jump lands
-    # exactly on step 2N or past it.
+    @given(run_biased_bits())
+    def test_matches_list_reference_at_digit_boundaries(self, bits):
+        # The register's top and bottom terms sit at digit edges, and long
+        # runs at either end make D or E start or end with long zero runs.
+        assert lc_berlekamp_massey(seq(bits)) == list_berlekamp_massey(bits * 2)
+
+    @given(run_biased_bits())
+    def test_reversal_keeps_the_lc(self, bits):
+        # lc_berlekamp_massey runs over the reversed stream: a periodic
+        # sequence and its reversal share their LC.
+        assert list_berlekamp_massey(bits * 2) == list_berlekamp_massey(bits[::-1] * 2)
+
+    # All-zero, all-one and impulse at N = 1 and 2: D is 0 from the start,
+    # or its first nonzero discrepancy is the reversed stream's first or
+    # second term, and the last term falls off bit 0.
     @pytest.mark.parametrize(
         "text, lc", [("0", 0), ("1", 1), ("00", 0), ("11", 1), ("10", 2), ("01", 2)]
     )
