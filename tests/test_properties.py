@@ -204,7 +204,8 @@ class TestBaseLevelCheck:
 
 
 # Periods 1..130, and the periods whose two-period register of 2N bits
-# sits at a 30-bit digit boundary of the int, give or take one bit.
+# ends at a 30-bit digit boundary of the int (2N = 30, 60, 90, 120, 240),
+# give or take two bits.
 bm_periods = st.one_of(
     st.integers(1, 130),
     st.sampled_from([h + d for h in (15, 30, 45, 60, 120) for d in (-1, 0, 1)]),
