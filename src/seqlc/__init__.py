@@ -17,7 +17,6 @@ from .sequences import (
     GroupElement,
     apply_group,
     autocorrelation_profile,
-    complement,
     hall_seq,
     is_ideal,
     legendre_seq,
@@ -36,7 +35,6 @@ __all__ = [
     "analyze_pair",
     "apply_group",
     "autocorrelation_profile",
-    "complement",
     "cyclotomic_classes6",
     "hall_seq",
     "is_ideal",

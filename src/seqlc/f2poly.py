@@ -13,10 +13,10 @@ needs a quotient, so none is built: pow_mod reduces through one
 remainder-only long division, _mod_int, and gcd runs the same shift-XOR
 reduction inline as one Euclid loop, with no call per step.
 
-Bit-level rearrangements (interleaving, sampling, text and tuple
-conversion) all go through one byte-per-bit view of a mask,
-_bit_view and _view_mask, so that they run as C-level string and
-strided-slice operations instead of per-bit Python loops.
+Bit-level rearrangements (interleaving, sampling, sequence text) all go
+through one byte-per-bit view of a mask, _bit_view and _view_mask, so
+that they run as C-level string and strided-slice operations instead of
+per-bit Python loops.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Periodic binary sequence generators and transforms.
 
-A BinarySeq stores one period bit-packed into an integer (bit i = a_i),
-so complement and cyclic shift reduce to integer XOR and rotation.  Only
-the autocorrelation profile maps the AND counts |a AND L^tau(a)|, tau up to
-N/2, to values (see _and_counts); the ideal verdict here and the optimal
-verdict in interleave read the profile.
+A BinarySeq is one period bit-packed into an int, its mask (bit i = a_i),
+which is also its period polynomial S(x); text is its one constructor and
+view.  Cyclic shift is an integer rotation.  Only the profile maps the
+AND counts |a AND L^tau(a)|, tau up to N/2, to values (see _and_counts);
+the ideal verdict here and the optimal verdict in interleave read it.
 Sequences compare as exact periodic bit vectors; no cyclic-equivalence
 quotient is applied implicitly.
 
@@ -17,8 +17,9 @@ Generators cover the classical ideal-autocorrelation families:
 * Hall sextic-residue sequences for primes p = 4x^2 + 27;
 * twin-prime sequences of period p(p+2).
 
-The shift L^r, sample M_s and complementation generate the transformation
-group under which ideal autocorrelation is closed.
+The shift L^r, the sample M_s and complementation (the mask XOR 2**N - 1,
+which interleave.tang_ding applies to b) generate the group under which
+ideal autocorrelation is closed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable, Iterator, Literal
+from typing import Iterator, Literal
 
 from .f2poly import _bit_view, _view_mask, pow_mod
 from .numtheory import (
@@ -36,11 +37,6 @@ from .numtheory import (
     is_prime,
     primitive_roots,
 )
-
-
-# Between 0/1 entries and the b"0"/b"1" digits of the f2poly byte view.
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -57,16 +53,6 @@ class BinarySeq:
             raise ValueError("mask has bits outside one period")
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BinarySeq":
-        try:
-            raw = bytes(tuple(bits))
-            if raw.translate(None, b"\0\1"):
-                raise ValueError
-        except (TypeError, ValueError):
-            raise ValueError("sequence entries must be 0 or 1") from None
-        return cls(_view_mask(raw.translate(_TO_DIGITS)), len(raw))
-
-    @classmethod
     def from_string(cls, text: str) -> "BinarySeq":
         i = len(text) - len(text.lstrip("01"))  # offset of the first other character
         if i < len(text):
@@ -75,30 +61,9 @@ class BinarySeq:
             raise ValueError("empty sequence")
         return cls(_view_mask(text), len(text))
 
-    @classmethod
-    def zeros(cls, period: int) -> "BinarySeq":
-        return cls(0, period)
-
-    @classmethod
-    def ones(cls, period: int) -> "BinarySeq":
-        return cls((1 << period) - 1, period)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple(_bit_view(self.mask, self.period).translate(_FROM_DIGITS))
-
     @property
     def weight(self) -> int:
         return self.mask.bit_count()
-
-    def __len__(self) -> int:
-        return self.period
-
-    def __getitem__(self, i: int) -> int:
-        return (self.mask >> (i % self.period)) & 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.bits)
 
     def to_string(self) -> str:
         return _bit_view(self.mask, self.period).decode()
@@ -121,11 +86,6 @@ class GroupElement:
             raise ValueError("shift must be nonnegative")
         if self.s < 1:
             raise ValueError("sample index must be positive")
-
-
-def complement(a: BinarySeq) -> BinarySeq:
-    """Flip every bit of one period."""
-    return BinarySeq(a.mask ^ ((1 << a.period) - 1), a.period)
 
 
 def shift(a: BinarySeq, r: int) -> BinarySeq:

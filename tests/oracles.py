@@ -3,10 +3,14 @@
 These are tools of the paper's proofs, not of any run: Lemma 1's period
 polynomial of w(a, b), the Gauss-sum indicator polynomials of a twin-prime
 pair, the CRT map from an index of w to its column bit, a bit-by-bit
-4-way interleaving, the autocorrelation at one shift, and the modular
-product and the substitution x -> x^k over packed GF(2) polynomials.  No
-seqlc command or campaign reaches them, so they live here, apart from the
-code they check.
+4-way interleaving, the autocorrelation at one shift, complementation, and
+the modular product and the substitution x -> x^k over packed GF(2)
+polynomials.  No seqlc command or campaign reaches them, so they live
+here, apart from the code they check.
+
+The list references work on plain lists of 0/1 entries (bits_of and
+mask_of convert), so they share no code with the bit packing they check:
+Berlekamp-Massey and the autocorrelation at one shift.
 """
 
 from __future__ import annotations
@@ -39,6 +43,48 @@ def stretch(f: int, k: int) -> int:
     return _view_mask(view)
 
 
+def bits_of(mask: int, n: int) -> list[int]:
+    """The n entries of a mask, entry i its bit i."""
+    return [(mask >> i) & 1 for i in range(n)]
+
+
+def mask_of(bits) -> int:
+    """The mask whose bit i is entry i of a 0/1 list."""
+    return sum(b << i for i, b in enumerate(bits))
+
+
+def complement(a: BinarySeq) -> BinarySeq:
+    """Flip every bit of one period: the mask XOR 2**N - 1."""
+    return BinarySeq(a.mask ^ ((1 << a.period) - 1), a.period)
+
+
+def list_autocorrelation(bits, tau: int) -> int:
+    """Signed correlation of a 0/1 list with its cyclic shift by tau."""
+    n = len(bits)
+    return sum(1 if bits[i] == bits[(i + tau) % n] else -1 for i in range(n))
+
+
+def list_berlekamp_massey(bits) -> int:
+    """Reference synthesis on coefficient lists (independent of bit packing)."""
+    n_total = len(bits)
+    c = [1] + [0] * n_total
+    b = [1] + [0] * n_total
+    L, m = 0, -1
+    for n in range(n_total):
+        d = bits[n]
+        for i in range(1, L + 1):
+            d ^= c[i] & bits[n - i]
+        if d:
+            t = c[:]
+            for i in range(n - m, n_total + 1):
+                c[i] ^= b[i - (n - m)]
+            if 2 * L <= n:
+                L = n + 1 - L
+                b = t
+                m = n
+    return L
+
+
 def autocorrelation(a: BinarySeq, tau: int) -> int:
     """Signed correlation of a with its shift by tau: sum of (-1)^(a_i + a_{i+tau})."""
     return a.period - 2 * (a.mask ^ shift(a, tau).mask).bit_count()
@@ -53,14 +99,16 @@ def interleave4(A: BinarySeq, B: BinarySeq, C: BinarySeq, D: BinarySeq) -> Binar
     if not (B.period == C.period == D.period == n):
         raise ValueError("all four sequences must share one period")
     columns = (A, B, C, D)
-    return BinarySeq(sum(columns[i % 4][i // 4] << i for i in range(4 * n)), 4 * n)
+    return BinarySeq(
+        sum(((columns[i % 4].mask >> (i // 4)) & 1) << i for i in range(4 * n)), 4 * n
+    )
 
 
 def crt_component(w: BinarySeq, i: int) -> int:
     """Bit i of w read through its CRT coordinates (i mod 4, i mod n).
 
     Decomposes i, then indexes the appropriate column sequence at the
-    offset the index isomorphism dictates.  Agrees with w[i] for every
+    offset the index isomorphism dictates.  Agrees with bit i of w for every
     interleaved sequence; serves as a redundant oracle for the direct
     construction.
     """
@@ -75,7 +123,7 @@ def crt_component(w: BinarySeq, i: int) -> int:
     beta = i % n
     beta_star = beta * pow(4, -1, n) % n
     row = (beta_star - alpha * m) % n
-    return w[4 * row + alpha]
+    return (w.mask >> (4 * row + alpha)) & 1
 
 
 def lemma1_poly(a: BinarySeq, b: BinarySeq) -> int:

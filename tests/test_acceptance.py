@@ -27,14 +27,13 @@ from seqlc.sequences import (
     BinarySeq,
     GroupElement,
     apply_group,
-    complement,
     hall_seq,
     legendre_seq,
     m_sequence,
     shift,
     twin_prime_seq,
 )
-from oracles import gauss_sum_poly, lemma1_poly, mul_mod, stretch
+from oracles import complement, gauss_sum_poly, lemma1_poly, mul_mod, stretch
 
 _cache: dict = {}
 

@@ -4,6 +4,7 @@ import math
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -27,7 +28,6 @@ from seqlc.sequences import (
     BinarySeq,
     GroupElement,
     apply_group,
-    complement,
     hall_construction,
     hall_seq,
     legendre_seq,
@@ -36,39 +36,26 @@ from seqlc.sequences import (
     shift,
     twin_prime_seq,
 )
-from oracles import gauss_sum_poly, lemma1_poly, mul_mod, stretch
-
-
-def list_berlekamp_massey(bits):
-    """Reference synthesis on coefficient lists (independent of bit packing)."""
-    n_total = len(bits)
-    c = [1] + [0] * n_total
-    b = [1] + [0] * n_total
-    L, m = 0, -1
-    for n in range(n_total):
-        d = bits[n]
-        for i in range(1, L + 1):
-            d ^= c[i] & bits[n - i]
-        if d:
-            t = c[:]
-            for i in range(n - m, n_total + 1):
-                c[i] ^= b[i - (n - m)]
-            if 2 * L <= n:
-                L = n + 1 - L
-                b = t
-                m = n
-    return L
+from oracles import (
+    bits_of,
+    complement,
+    gauss_sum_poly,
+    lemma1_poly,
+    list_berlekamp_massey,
+    mul_mod,
+    stretch,
+)
 
 
 class TestLcGcd:
     def test_all_one(self):
-        assert lc_gcd(BinarySeq.ones(7)) == 1
+        assert lc_gcd(BinarySeq(0b1111111, 7)) == 1
 
     def test_impulse(self):
         assert lc_gcd(BinarySeq(1, 7)) == 7
 
     def test_all_zero(self):
-        assert lc_gcd(BinarySeq.zeros(9)) == 0
+        assert lc_gcd(BinarySeq(0, 9)) == 0
 
     def test_m_sequence(self):
         for l in (3, 4, 5):
@@ -131,14 +118,14 @@ class TestLcGcd:
 
 class TestBerlekampMassey:
     def test_all_zero(self):
-        assert lc_berlekamp_massey(BinarySeq.zeros(11)) == 0
+        assert lc_berlekamp_massey(BinarySeq(0, 11)) == 0
 
     def test_matches_list_reference(self):
         rng = random.Random(1)
         for _ in range(100):
             n = rng.randrange(1, 48)
             a = BinarySeq(rng.getrandbits(n), n)
-            bits = list(a.bits) * 2
+            bits = bits_of(a.mask, n) * 2
             assert lc_berlekamp_massey(a) == list_berlekamp_massey(bits)
 
     def test_oracle_equivalence_random(self):
@@ -179,16 +166,17 @@ class TestBerlekampMassey:
         for n in range(1, 11):
             for mask in range(2**n):
                 a = BinarySeq(mask, n)
-                ref = list_berlekamp_massey(list(a.bits) * 2)
+                ref = list_berlekamp_massey(bits_of(mask, n) * 2)
                 assert lc_berlekamp_massey(a) == ref == lc_gcd(a), (n, mask)
 
     def test_impulses_and_complements(self):
-        # The impulse's two-period stream holds zero runs of j and N - 1 terms,
-        # which the loop crosses in single jumps; the complement is dense.
+        # The impulse's two-period stream holds zero runs of up to N - 1 terms,
+        # each crossed in one pass, as the next nonzero discrepancy is read off
+        # D.bit_length(); the complement is dense.
         for n in range(1, 65):
             for j in range(n):
                 for a in (BinarySeq(1 << j, n), complement(BinarySeq(1 << j, n))):
-                    ref = list_berlekamp_massey(list(a.bits) * 2)
+                    ref = list_berlekamp_massey(bits_of(a.mask, n) * 2)
                     assert lc_berlekamp_massey(a) == ref == lc_gcd(a), (n, j, a.mask)
 
     def test_no_ceiling_at_period_4n(self):
@@ -216,7 +204,7 @@ class TestZSetSizes:
 
     def test_rejects_even_period(self):
         with pytest.raises(ValueError):
-            z_set_sizes(BinarySeq.zeros(4), BinarySeq.zeros(4))
+            z_set_sizes(BinarySeq(0, 4), BinarySeq(0, 4))
 
     def test_subset_relation(self):
         # z_ab is read from z_sum's gcd, so check both against the definition.
@@ -250,7 +238,7 @@ class TestInterleavedFormula:
         assert analyze_pair(a, shift(a, 1)).lc_formula == 10
 
     def test_rejects_non_ideal(self):
-        bad = BinarySeq.from_bits([1, 0, 0, 0, 0, 0, 0])  # impulse: A(tau) = 3
+        bad = BinarySeq.from_string("1000000")  # impulse: A(tau) = 3
         good = legendre_seq(7)
         with pytest.raises(ValueError):
             analyze_pair(good, bad)
@@ -265,7 +253,7 @@ class TestInterleavedFormula:
             return f"{info.type.__name__}: {info.value}"
 
         good = legendre_seq(7)
-        bad = BinarySeq.from_bits([1, 0, 0, 0, 0, 0, 0])
+        bad = BinarySeq.from_string("1000000")
         for a, b, g in [
             (good, legendre_seq(7, "ell_prime"), GroupElement(1, 7)),  # s not coprime
             (good, bad, GroupElement(2, 3)),  # non-ideal base
@@ -324,7 +312,7 @@ class TestLemma1Poly:
 
     def test_zero_inputs(self):
         n = 7
-        z = BinarySeq.zeros(n)
+        z = BinarySeq(0, n)
         expect = stretch((1 << n) - 1, 4) << 3
         assert lemma1_poly(z, z) == expect
 
@@ -338,7 +326,7 @@ class TestLemma1Poly:
 
 class TestTwoAdic:
     def test_all_one(self):
-        a = BinarySeq.ones(7)
+        a = BinarySeq(0b1111111, 7)
         assert two_adic_gcd(a) == 2**7 - 1
         assert not two_adic_max(a)
 
@@ -468,21 +456,45 @@ def test_package_exports_resolve():
     assert set(seqlc.__all__) <= set(namespace)
     assert set(seqlc.__all__) == {
         "BinarySeq", "GroupElement", "LCReport", "analyze_pair", "apply_group",
-        "autocorrelation_profile", "complement", "cyclotomic_classes6", "hall_seq",
+        "autocorrelation_profile", "cyclotomic_classes6", "hall_seq",
         "is_ideal", "is_optimal", "is_prime", "lc_berlekamp_massey", "lc_gcd",
         "legendre_seq", "legendre_symbol", "m_sequence", "sample", "shift",
         "tang_ding", "twin_prime_seq", "two_adic_gcd", "two_adic_max", "z_set_sizes",
     }
 
 
-def test_every_top_level_definition_is_used_or_exported():
-    # A function or class that only the tests reach belongs in tests/oracles.py.
+def test_readme_library_example_runs():
+    # The README's one python block imports only what it uses and runs as written.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", text, re.M | re.S)
+    tree = ast.parse(block)
+    imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert imported and set(imported) <= used
+    exec(compile(tree, "README.md", "exec"), {})
+
+
+def test_every_definition_in_src_is_used_there():
+    # A function, class or non-dunder method that only the tests reach belongs
+    # in tests/oracles.py; being exported in __all__ is no use of it.
     def names(tree):
         return Counter(
             node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))
         )
+
+    def definitions(tree):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (
+                    member for member in node.body
+                    if isinstance(member, ast.FunctionDef)
+                    and not (member.name.startswith("__") and member.name.endswith("__"))
+                )
 
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -492,10 +504,8 @@ def test_every_top_level_definition_is_used_or_exported():
     unused = [
         f"{module}:{node.lineno} {node.name}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and refs[node.name] == names(node)[node.name]  # only its own body names it
-        and node.name not in seqlc.__all__
+        for node in definitions(tree)
+        if refs[node.name] == names(node)[node.name]  # only its own body names it
     ]
     assert unused == []
 

@@ -43,15 +43,15 @@ class TestSeqPoly:
     """The period polynomial S_a(x) is the sequence's mask itself."""
 
     def test_zero_period_five(self):
-        assert BinarySeq.zeros(5).mask == 0
+        assert BinarySeq.from_string("00000").mask == 0
 
     def test_small(self):
-        assert BinarySeq.from_bits([1, 0, 1]).mask == poly(0, 2)
+        assert BinarySeq.from_string("101").mask == poly(0, 2)
 
     def test_legendre_seven(self):
         # quadratic residues mod 7 are {1, 2, 4}
         assert {i * i % 7 for i in range(1, 7)} == {1, 2, 4}
-        a = BinarySeq.from_bits([0, 1, 1, 0, 1, 0, 0])
+        a = BinarySeq.from_string("0110100")
         assert a.mask == poly(1, 2, 4)
 
 
@@ -149,8 +149,8 @@ class TestAllOnes:
 
     def test_small(self):
         # the all-ones sequence's S(x), and its S(2) = 2^n - 1
-        assert BinarySeq.ones(1).mask == 1
-        assert BinarySeq.ones(3).mask == poly(0, 1, 2) == 2**3 - 1
+        assert BinarySeq.from_string("1").mask == 1
+        assert BinarySeq.from_string("111").mask == poly(0, 1, 2) == 2**3 - 1
 
     def test_telescoping(self):
         for n in range(2, 65):

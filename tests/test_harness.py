@@ -34,7 +34,6 @@ from seqlc.numtheory import legendre_symbol
 from seqlc.sequences import (
     GroupElement,
     apply_group,
-    complement,
     hall_construction,
     is_ideal,
     legendre_seq,
@@ -42,8 +41,13 @@ from seqlc.sequences import (
     shift,
     twin_prime_seq,
 )
-from oracles import autocorrelation, interleave4
-from test_complexity import list_berlekamp_massey
+from oracles import (
+    autocorrelation,
+    bits_of,
+    complement,
+    interleave4,
+    list_berlekamp_massey,
+)
 
 
 def _must_not_build(*args, **kwargs):
@@ -112,7 +116,9 @@ MUTANTS = {
     "tang-ding-m-plus-1": ("tang_ding", tang_ding_mutant(step=1)),
     "tang-ding-no-complement": ("tang_ding", tang_ding_mutant(flip=False)),
     "tang-ding-columns-1-3-swapped": ("tang_ding", tang_ding_mutant(swap=True)),
-    "bm-over-n-terms": ("lc_berlekamp_massey", lambda w: list_berlekamp_massey(list(w.bits))),
+    "bm-over-n-terms": (
+        "lc_berlekamp_massey", lambda w: list_berlekamp_massey(bits_of(w.mask, w.period))
+    ),
     "lc-gcd-modulo-x-n": (
         "lc_gcd", lambda w: w.period + 1 - gcd(w.mask, 1 << w.period).bit_length()
     ),
@@ -506,6 +512,16 @@ class TestRunCampaign:
         monkeypatch.setattr(complexity, *MUTANTS[name])
         assert any(not pt.passed for res in run_campaigns(specs, jobs=1) for pt in res.points)
 
+    def test_unknown_family_is_rejected_before_the_pool(self, monkeypatch):
+        # Bases are built before the pool starts, and build_family names the family.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        spec = dataclasses.replace(theorem5_p7(), family_b="fibonacci")
+        with pytest.raises(ValueError, match="^unknown family 'fibonacci'$"):
+            run_campaigns([theorem5_p7(), spec], jobs=2)
+
     def test_empty_batch(self):
         assert run_campaigns([], jobs=2) == []
         assert run_campaigns([], jobs=1) == []
@@ -807,6 +823,23 @@ class TestCli:
             build_family("legendre", harness.MAX_PERIOD)
         with pytest.raises(ValueError, match="above the ceiling"):
             build_family("legendre", harness.MAX_PERIOD + 1)
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"01x\n", "invalid character 'x' at offset 2"),
+            (b"01\xc3\xa9\n", "'ascii' codec can't decode byte 0xc3 in position 2: "
+             "ordinal not in range(128)"),
+            (b"\n", "empty sequence"),
+        ],
+        ids=["bad-character", "non-ascii", "empty"],
+    )
+    def test_rejected_sequence_file_is_named(self, tmp_path, capsys, content, message):
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text("0110100\n")
+        bad.write_bytes(content)
+        assert main(["lc", str(good), str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
     def test_period_ceiling_rejects_file(self, tmp_path, capsys, monkeypatch):
         at = tmp_path / "at.txt"

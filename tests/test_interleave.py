@@ -3,28 +3,20 @@ import random
 import pytest
 
 from seqlc.interleave import is_optimal, tang_ding
-from seqlc.sequences import (
-    BinarySeq,
-    complement,
-    hall_seq,
-    legendre_seq,
-    shift,
-)
-from oracles import autocorrelation, crt_component, interleave4
+from seqlc.sequences import BinarySeq, hall_seq, legendre_seq, shift
+from oracles import autocorrelation, bits_of, complement, crt_component, interleave4
 
 
 class TestInterleave4:
     def test_all_zero(self):
-        z = BinarySeq.zeros(3)
-        assert interleave4(z, z, z, z) == BinarySeq.zeros(12)
+        z = BinarySeq(0, 3)
+        assert interleave4(z, z, z, z) == BinarySeq(0, 12)
 
     def test_single_column(self):
-        a = BinarySeq.from_bits([1, 0, 0])
-        z = BinarySeq.zeros(3)
-        w = interleave4(a, z, z, z)
-        assert [i for i in range(12) if w[i]] == [0]
-        w = interleave4(z, a, z, z)
-        assert [i for i in range(12) if w[i]] == [1]
+        a = BinarySeq.from_string("100")
+        z = BinarySeq(0, 3)
+        assert interleave4(a, z, z, z).mask == 1 << 0
+        assert interleave4(z, a, z, z).mask == 1 << 1
 
     def test_round_trip(self):
         rng = random.Random(1)
@@ -32,26 +24,27 @@ class TestInterleave4:
         cols = [BinarySeq(rng.getrandbits(n), n) for _ in range(4)]
         w = interleave4(*cols)
         assert w.period == 4 * n
+        bits, col_bits = bits_of(w.mask, 4 * n), [bits_of(c.mask, n) for c in cols]
         for i in range(n):
             for k in range(4):
-                assert w[4 * i + k] == cols[k][i]
+                assert bits[4 * i + k] == col_bits[k][i]
 
     def test_rejects_mismatched_periods(self):
         with pytest.raises(ValueError):
             interleave4(
-                BinarySeq.zeros(3),
-                BinarySeq.zeros(3),
-                BinarySeq.zeros(3),
-                BinarySeq.zeros(7),
+                BinarySeq(0, 3),
+                BinarySeq(0, 3),
+                BinarySeq(0, 3),
+                BinarySeq(0, 7),
             )
 
 
 class TestTangDing:
     def test_all_zero_inputs(self):
-        z = BinarySeq.zeros(3)
+        z = BinarySeq(0, 3)
         w = tang_ding(z, z)
         # only the complemented fourth column contributes
-        assert w == BinarySeq.from_bits([0, 0, 0, 1] * 3)
+        assert w == BinarySeq.from_string("0001" * 3)
 
     def test_column_structure(self):
         rng = random.Random(2)
@@ -59,12 +52,13 @@ class TestTangDing:
         m = (n + 1) // 4
         a = BinarySeq(rng.getrandbits(n), n)
         b = BinarySeq(rng.getrandbits(n), n)
-        w = tang_ding(a, b)
+        w = bits_of(tang_ding(a, b).mask, 4 * n)
+        a, b = bits_of(a.mask, n), bits_of(b.mask, n)
         for i in range(n):
             assert w[4 * i + 0] == a[i]
-            assert w[4 * i + 1] == b[i + m]
-            assert w[4 * i + 2] == a[i + 2 * m]
-            assert w[4 * i + 3] == 1 - b[i + 3 * m]
+            assert w[4 * i + 1] == b[(i + m) % n]
+            assert w[4 * i + 2] == a[(i + 2 * m) % n]
+            assert w[4 * i + 3] == 1 - b[(i + 3 * m) % n]
 
     def test_optimal_for_legendre_pair(self):
         ell = legendre_seq(7)
@@ -74,9 +68,9 @@ class TestTangDing:
 
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
-            tang_ding(BinarySeq.zeros(5), BinarySeq.zeros(5))
+            tang_ding(BinarySeq(0, 5), BinarySeq(0, 5))
         with pytest.raises(ValueError):
-            tang_ding(BinarySeq.zeros(7), BinarySeq.zeros(3))
+            tang_ding(BinarySeq(0, 7), BinarySeq(0, 3))
 
 
 class TestCrtComponent:
@@ -85,14 +79,14 @@ class TestCrtComponent:
         a = BinarySeq(rng.getrandbits(7) | 1, 7)
         b = BinarySeq(rng.getrandbits(7), 7)
         w = tang_ding(a, b)
-        assert crt_component(w, 0) == a[0] == w[0]
+        assert crt_component(w, 0) == a.mask & 1 == w.mask & 1
 
     def test_reads_second_column(self):
         # n = 3, i = 9: (alpha, beta) = (1, 0), so the bit comes from column B
-        z = BinarySeq.zeros(3)
-        b = BinarySeq.from_bits([1, 1, 1])
+        z = BinarySeq(0, 3)
+        b = BinarySeq.from_string("111")
         w = tang_ding(z, b)  # column B is L^1(b)
-        assert crt_component(w, 9) == w[9] == 1
+        assert crt_component(w, 9) == w.mask >> 9 & 1 == 1
 
     @pytest.mark.parametrize("n", [3, 7, 11])
     def test_full_agreement(self, n):
@@ -101,12 +95,11 @@ class TestCrtComponent:
             a = BinarySeq(rng.getrandbits(n), n)
             b = BinarySeq(rng.getrandbits(n), n)
             w = tang_ding(a, b)
-            for i in range(4 * n):
-                assert crt_component(w, i) == w[i]
+            assert [crt_component(w, i) for i in range(4 * n)] == bits_of(w.mask, 4 * n)
 
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
-            crt_component(BinarySeq.zeros(10), 0)
+            crt_component(BinarySeq(0, 10), 0)
 
 
 class TestIsOptimal:
@@ -119,11 +112,11 @@ class TestIsOptimal:
         assert is_optimal(tang_ding(h, h))
 
     def test_all_zero_fails(self):
-        assert not is_optimal(BinarySeq.zeros(12))
+        assert not is_optimal(BinarySeq(0, 12))
 
     def test_rejects_bad_period(self):
         with pytest.raises(ValueError):
-            is_optimal(BinarySeq.zeros(7))
+            is_optimal(BinarySeq(0, 7))
 
     def test_ideal_pairs_yield_optimal(self):
         pool = [

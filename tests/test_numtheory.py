@@ -128,7 +128,7 @@ class TestCrtIndex:
         for i in range(4 * n):
             one_hot = BinarySeq(1 << i, 4 * n)
             read = [crt_component(one_hot, j) for j in range(4 * n)]
-            assert read == list(one_hot.bits)
+            assert read == [int(j == i) for j in range(4 * n)]
 
     @pytest.mark.parametrize("n", [3, 7, 11, 19, 35])
     def test_beta_star_is_a_permutation(self, n):

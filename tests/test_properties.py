@@ -1,9 +1,10 @@
 """Property tests of the bit-packed paths against list-based references.
 
-Each reference below works on plain lists of 0/1 and shares no code with
-the byte-per-bit view, the AND-count histogram kernel or the bit packing
-it checks.  Periods run from 1 to 200, with periods = 0 and = 3 (mod 4)
-drawn explicitly because is_optimal and is_ideal are defined only there.
+Each list reference, here or in tests/oracles.py, works on plain lists of
+0/1 and shares no code with the byte-per-bit view, the AND-count histogram
+kernel or the bit packing it checks.  Periods run from 1 to 200, with
+periods = 0 and = 3 (mod 4) drawn explicitly because is_optimal and
+is_ideal are defined only there.
 The halved correlation kernel's profile and Berlekamp-Massey are checked
 on periods drawn evenly from every residue mod 4.  The templated JSON report
 is checked against json.dumps(payload, indent=2) of the same results.  The
@@ -43,7 +44,6 @@ from seqlc.sequences import (
     _and_counts,
     apply_group,
     autocorrelation_profile,
-    complement,
     is_ideal,
     legendre_seq,
     m_sequence,
@@ -51,8 +51,18 @@ from seqlc.sequences import (
     shift,
     twin_prime_seq,
 )
-from oracles import autocorrelation, crt_component, interleave4, mul_mod, stretch
-from test_complexity import list_berlekamp_massey
+from oracles import (
+    autocorrelation,
+    bits_of,
+    complement,
+    crt_component,
+    interleave4,
+    list_autocorrelation,
+    list_berlekamp_massey,
+    mask_of,
+    mul_mod,
+    stretch,
+)
 
 MAX_N = 200
 
@@ -75,25 +85,16 @@ def bit_lists(draw, period=periods):
     return bits_of(draw(st.integers(0, 2**n - 1)), n)
 
 
-def bits_of(mask, n):
-    return [(mask >> i) & 1 for i in range(n)]
-
-
-def mask_of(bits):
-    return sum(b << i for i, b in enumerate(bits))
-
-
 def seq(bits):
     return BinarySeq(mask_of(bits), len(bits))
 
 
-def ref_autocorr(bits, tau):
-    n = len(bits)
-    return sum(1 if bits[i] == bits[(i + tau) % n] else -1 for i in range(n))
+def entries(a):
+    return bits_of(a.mask, a.period)
 
 
 def ref_profile(bits):
-    return dict(Counter(ref_autocorr(bits, tau) for tau in range(1, len(bits))))
+    return dict(Counter(list_autocorrelation(bits, tau) for tau in range(1, len(bits))))
 
 
 # Ideal-autocorrelation sequences of period <= 200 (= 3 mod 4), so that the
@@ -128,7 +129,7 @@ def flip(a, i):
 class TestCorrelationKernel:
     @given(bit_lists(), st.integers(-2 * MAX_N, 2 * MAX_N))
     def test_autocorrelation(self, bits, tau):
-        assert autocorrelation(seq(bits), tau) == ref_autocorr(bits, tau)
+        assert autocorrelation(seq(bits), tau) == list_autocorrelation(bits, tau)
 
     @given(bit_lists(every_residue))
     def test_and_counts(self, bits):
@@ -158,10 +159,9 @@ class TestCorrelationKernel:
 
     @given(ideal_seqs(), st.integers(0, MAX_N))
     def test_is_ideal_true_and_after_one_flip(self, a, i):
-        bits = list(a.bits)
-        assert is_ideal(a) and set(ref_profile(bits)) == {-1}
+        assert is_ideal(a) and set(ref_profile(entries(a))) == {-1}
         b = flip(a, i)
-        assert is_ideal(b) == (set(ref_profile(list(b.bits))) == {-1})
+        assert is_ideal(b) == (set(ref_profile(entries(b))) == {-1})
 
     @given(bit_lists(periods.filter(lambda n: n % 4 == 0)))
     def test_is_optimal_random(self, bits):
@@ -174,9 +174,9 @@ class TestCorrelationKernel:
         a = data.draw(ideal_seqs())
         b = data.draw(ideal_seqs(period=a.period))
         w = tang_ding(a, b)
-        assert is_optimal(w) and set(ref_profile(list(w.bits))) <= {0, -4}
+        assert is_optimal(w) and set(ref_profile(entries(w))) <= {0, -4}
         v = flip(w, data.draw(st.integers(0, 4 * MAX_N)))
-        assert is_optimal(v) == (set(ref_profile(list(v.bits))) <= {0, -4})
+        assert is_optimal(v) == (set(ref_profile(entries(v))) <= {0, -4})
 
 
 class TestBaseLevelCheck:
@@ -321,7 +321,7 @@ class TestPairPathAgainstOldDefinitions:
         w = tang_ding(a, b)
         columns = (a, shift(b, m), shift(a, 2 * m), shift(complement(b), 3 * m))
         assert w == interleave4(*columns)
-        assert list(w.bits) == [crt_component(w, i) for i in range(4 * n)]
+        assert entries(w) == [crt_component(w, i) for i in range(4 * n)]
 
 
 class TestByteView:
@@ -338,7 +338,7 @@ class TestByteView:
         cols = [data.draw(bit_lists(st.just(n))) for _ in range(4)]
         w = interleave4(*map(seq, cols))
         assert w.period == 4 * n
-        assert list(w.bits) == [cols[i % 4][i // 4] for i in range(4 * n)]
+        assert entries(w) == [cols[i % 4][i // 4] for i in range(4 * n)]
 
     @given(bit_lists(), st.integers(-MAX_N, 2 * MAX_N))
     def test_sample(self, bits, s):
@@ -347,17 +347,14 @@ class TestByteView:
             with pytest.raises(ValueError, match="not coprime"):
                 sample(seq(bits), s)
         else:
-            assert list(sample(seq(bits), s).bits) == [bits[s * i % n] for i in range(n)]
+            assert entries(sample(seq(bits), s)) == [bits[s * i % n] for i in range(n)]
 
     @given(bit_lists())
     def test_round_trips(self, bits):
         text = "".join(map(str, bits))
-        a = BinarySeq.from_bits(bits)
+        a = BinarySeq.from_string(text)
         assert (a.mask, a.period) == (mask_of(bits), len(bits))
-        assert a.bits == tuple(bits) and list(a) == bits
         assert a.to_string() == text
-        assert BinarySeq.from_string(text) == a
-        assert BinarySeq.from_bits(a.bits) == a
 
     @given(bit_lists(), st.integers(0, MAX_N), st.sampled_from("2x _+-\n١"))
     def test_from_string_names_first_bad_character(self, bits, i, ch):
@@ -366,17 +363,11 @@ class TestByteView:
         with pytest.raises(ValueError, match=f"at offset {i}$"):
             BinarySeq.from_string(text[:i] + ch + text[i:])
 
-    @given(bit_lists(), st.integers(0, MAX_N), st.sampled_from([2, -1, 48, 256, "1"]))
-    def test_from_bits_rejects_other_entries(self, bits, i, bad):
-        i %= len(bits) + 1
-        with pytest.raises(ValueError, match="sequence entries must be 0 or 1"):
-            BinarySeq.from_bits(bits[:i] + [bad] + bits[i:])
-
     def test_empty_inputs(self):
         with pytest.raises(ValueError, match="empty sequence"):
             BinarySeq.from_string("")
         with pytest.raises(ValueError, match="period must be at least 1"):
-            BinarySeq.from_bits([])
+            BinarySeq(0, 0)
 
 
 # Text that needs escaping: quotes, backslashes, control characters, a line
