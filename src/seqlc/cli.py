@@ -150,13 +150,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    with open(args.input, "r", encoding="ascii") as fh:
-        text = fh.read(MAX_REPORT_CHARS + 1)  # one too many tells a longer file
-    if len(text) > MAX_REPORT_CHARS:
-        raise ValueError(
-            f"{args.input}: report longer than the ceiling {MAX_REPORT_CHARS} characters"
-        )
-    csv = harness.json_to_csv(text)  # rejects a non-report in either format
+    try:
+        with open(args.input, "r", encoding="ascii") as fh:
+            text = fh.read(MAX_REPORT_CHARS + 1)  # one too many tells a longer file
+        if len(text) > MAX_REPORT_CHARS:
+            raise ValueError(f"report longer than the ceiling {MAX_REPORT_CHARS} characters")
+        csv = harness.json_to_csv(text)  # rejects a non-report in either format
+    except ValueError as exc:  # a bad byte too: UnicodeDecodeError is one
+        raise ValueError(f"{args.input}: {exc}") from None
     _out(csv if args.format == "csv" else text, args.out)
     return 0
 

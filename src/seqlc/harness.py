@@ -37,6 +37,7 @@ from itertools import accumulate, chain, islice, repeat
 from .complexity import LCReport, analyze_pair
 from .numtheory import legendre_symbol
 from .sequences import (
+    _HALVES,
     BinarySeq,
     GroupElement,
     hall_construction,
@@ -345,9 +346,13 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
     campaign that finishes inside another campaign's slice reads close to 0.
     A campaign made only of repeats of earlier points computes nothing, so
     it reads about 0 at any jobs.
+
+    The run starts with the profile's halves cache empty, as a fresh process
+    does; at jobs > 1 each worker fills its own.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _HALVES.clear()
     columns, places, firsts = _distinct_inputs(specs)
     if jobs == 1:
         parts = map(_run_input, *columns, repeat({}))

@@ -7,8 +7,13 @@ and it needs the pytest-benchmark plugin.  Each case times one stage of
 analyze_pair, or the whole pair, on the first grid point sigma of a
 campaign under an LC claim: Legendre p = 23 (theorem5), Hall p = 283
 (theorem6) and twin-prime n = 899 (theorem9 at p = 29).  and_counts is
-the correlation kernel alone, on w(a, sigma(b)); autocorrelation_profile
-reads it.
+the direct correlation kernel alone, on w(a, sigma(b)); autocorrelation_profile
+reads it below sequences._HALF_MIN_PERIOD and reads w's halves from there
+on.  The profile's stage runs with the halves cache as the other cases
+leave it; test_profile_cache times it cold, the cache emptied before each
+call (untimed), and warm, on the next grid point of the same class (same
+s, the next r) after the first was seen.  At p = 23 (N = 92) both read
+the direct kernel.
 is_ideal is timed uncached on the base b: it is paid once per base, not
 once per pair.  The whole pair runs as a campaign point does,
 analyze_pair(a, b, sigma), with the is_ideal cache warm.
@@ -38,7 +43,13 @@ from seqlc.complexity import (
     z_set_sizes,
 )
 from seqlc.interleave import tang_ding
-from seqlc.sequences import _and_counts, apply_group, autocorrelation_profile, is_ideal
+from seqlc.sequences import (
+    _HALVES,
+    _and_counts,
+    apply_group,
+    autocorrelation_profile,
+    is_ideal,
+)
 
 SIZES = {
     "legendre-p23": ("theorem5", 23),
@@ -78,6 +89,22 @@ def pair(size):
 def test_stage(benchmark, stage, size):
     benchmark.group = size
     benchmark(STAGES[stage], *pair(size))
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+def test_profile_cache(benchmark, cache, size):
+    benchmark.group = size
+    a, b, sigma, _, w = pair(size)
+    if cache == "cold":
+        benchmark.pedantic(autocorrelation_profile, (w,), setup=_HALVES.clear, rounds=200)
+        return
+    name, param = SIZES[size]
+    spec = next(s for s in harness.named_campaigns(name) if s.param == param)
+    nxt = next(g for g in spec.grid if g.s == sigma.s and g.r > sigma.r)
+    _HALVES.clear()
+    autocorrelation_profile(w)
+    benchmark(autocorrelation_profile, tang_ding(a, apply_group(b, nxt)))
 
 
 # Each writer reads (results, their JSON report).

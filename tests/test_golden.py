@@ -6,8 +6,10 @@ pool serves every campaign, so pool chunks span campaigns.  The CSV is pinned wh
 with its "wall_time_s" lines removed, the only field that varies between
 runs.  The spec and grid of every named campaign, including the larger
 ones not run here, are pinned by one more digest, taken without running
-them.  A change that alters a report on purpose must re-record these
-digests and say why.
+them.  The reports of the two largest grids, theorem6 at p = 283 and
+theorem9 at p = 29, are pinned in tests/test_acceptance.py, which runs
+them anyway.  A change that alters a report on purpose must re-record
+these digests and say why.
 """
 
 import hashlib

@@ -192,6 +192,37 @@ class TestBuildFamily:
 
 
 class TestRunCampaign:
+    def test_profile_cache_is_empty_when_a_run_starts(self, monkeypatch):
+        # A run starts as cold as a fresh process, whatever ran before it.
+        hall43 = [s for s in named_campaigns("theorem6") if s.param == 43][0]
+        run_campaigns([dataclasses.replace(hall43, grid=hall43.grid[:2])])
+        assert sequences._HALVES  # N = 172 reads the halves
+        sizes = []
+
+        def spy(*args):
+            sizes.append(len(sequences._HALVES))
+            return complexity.analyze_pair(*args)
+
+        monkeypatch.setattr(harness, "analyze_pair", spy)
+        run_campaigns([dataclasses.replace(hall43, grid=hall43.grid[:7])])
+        assert sizes == [0, 1, 2, 3, 4, 5, 6]  # six classes, one per s, then a hit
+        assert len(sequences._HALVES) == 6
+
+    def test_profile_cache_stays_within_its_bound(self):
+        # 18 classes: Hall, Legendre and Legendre-prime a against the six
+        # sample classes of the Hall b, at N = 172.
+        bound = sequences._HALF_CLASSES
+        sequences._HALVES.clear()
+        sizes = []
+        for spec in named_campaigns("theorem6")[:1] + named_campaigns("theorem7")[::2]:
+            a = build_family(spec.family_a, spec.param)
+            b = build_family(spec.family_b, spec.param)
+            for sigma in spec.grid[:2 * bound]:
+                complexity.analyze_pair(a, b, sigma)
+                sizes.append(len(sequences._HALVES))
+        assert max(sizes) == bound and sizes[-1] == bound
+        assert sizes[:7] == [1, 2, 3, 4, 5, 6, 6]
+
     def test_theorem5_small(self):
         res = run_campaigns([theorem5_p7()])[0]
         assert res.passed
@@ -747,6 +778,13 @@ class TestCli:
             (["report", "--format", "json"], "hello", None),
             (["report"], "[" * 200000, "not a seqlc JSON report"),
             (
+                ["report"],
+                b"\xff\n",
+                "'ascii' codec can't decode byte 0xff in position 0: "
+                "ordinal not in range(128)",
+            ),
+            (["report"], "", "Expecting value: line 1 column 1 (char 0)"),
+            (
                 ["verify", "msequence", "--p", "7", "--l", "3"],
                 None,
                 "verify takes --p or --l, not both",
@@ -784,7 +822,8 @@ class TestCli:
             "report-attains-max-1", "report-two-adic-max-0", "report-n-newline",
             "report-lc-bm-float", "report-z-ab-null", "report-lc-direct-true",
             "report-point-r-string", "report-json-not-a-report",
-            "report-nested-too-deep", "verify-p-and-l",
+            "report-nested-too-deep", "report-non-ascii", "report-empty",
+            "verify-p-and-l",
             "msequence-bad-variant", "msequence-not-primitive",
             "msequence-no-alt", "verify-p-on-msequence", "gen-s-not-coprime",
         ],
@@ -792,15 +831,20 @@ class TestCli:
     def test_bad_input_is_one_line_error(
         self, tmp_path, capsys, argv, payload, message
     ):
-        if payload is not None:  # a text payload is written as it is
+        prefix = "error: "
+        if payload is not None:  # a text or bytes payload is written as it is
             src = tmp_path / "r.json"
-            src.write_text(payload if isinstance(payload, str) else json.dumps(payload()))
+            if isinstance(payload, bytes):
+                src.write_bytes(payload)
+            else:
+                src.write_text(payload if isinstance(payload, str) else json.dumps(payload()))
             argv = [argv[0], str(src), "--format", "csv", *argv[1:]]  # the last --format wins
+            prefix += f"{src}: "  # every rejected report names its file
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith(prefix) and err.count("\n") == 1
         if message is not None:
-            assert err == f"error: {message}\n"
+            assert err == f"{prefix}{message}\n"
 
     @pytest.mark.parametrize(
         "family, flag, param",

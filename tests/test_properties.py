@@ -39,9 +39,12 @@ from seqlc.harness import (
 )
 from seqlc.interleave import is_optimal, tang_ding
 from seqlc.sequences import (
+    _HALF_MIN_PERIOD,
+    _HALVES,
     BinarySeq,
     GroupElement,
     _and_counts,
+    _half_counts,
     apply_group,
     autocorrelation_profile,
     is_ideal,
@@ -76,6 +79,12 @@ periods = st.one_of(
 # tau = N/2 that the halved kernel counts once.
 every_residue = st.builds(
     lambda k, r: 4 * k + r, st.integers(0, MAX_N // 4 - 1), st.integers(1, 4)
+)
+
+# 4k + r with r = 2 or 4 drawn evenly: both even residues, on either side of
+# the profile's halves cutoff.
+even_periods = st.builds(
+    lambda k, r: 4 * k + r, st.integers(0, MAX_N // 4 - 1), st.sampled_from((2, 4))
 )
 
 
@@ -151,6 +160,28 @@ class TestCorrelationKernel:
     def test_profile_smallest_periods(self, text, profile):
         bits = [int(c) for c in text]
         assert autocorrelation_profile(seq(bits)) == ref_profile(bits) == profile
+
+    @given(bit_lists(even_periods), st.integers(0, MAX_N), st.integers(0, MAX_N))
+    @example([0, 1], 0, 0)
+    @example(bits_of(2**150 - 3, _HALF_MIN_PERIOD + 2), 7, 3)
+    def test_halves_hit_on_a_rotated_odd_half(self, bits, k, i):
+        """o rotated by k with e kept is the cached class, found at k; one
+        bit of e flipped is a new class."""
+        n, p = len(bits), len(bits) // 2
+        k %= p
+        rotated = bits.copy()
+        rotated[1::2] = bits[1::2][k:] + bits[1::2][:k]
+        flipped = rotated.copy()
+        flipped[2 * (i % p)] ^= 1
+        _HALVES.clear()
+        assert _half_counts(seq(bits)) == _and_counts(seq(bits))
+        cached = list(_HALVES)
+        assert _half_counts(seq(rotated)) == _and_counts(seq(rotated))
+        assert _HALVES == cached
+        assert _half_counts(seq(flipped)) == _and_counts(seq(flipped))
+        assert len(_HALVES) == 2 and _HALVES[0] == cached[0]
+        # The profile reads the halves from the cutoff up: here, a hit.
+        assert autocorrelation_profile(seq(rotated)) == ref_profile(rotated)
 
     @given(bit_lists(periods.filter(lambda n: n % 4 == 3)))
     def test_is_ideal_random(self, bits):

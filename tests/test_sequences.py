@@ -9,8 +9,10 @@ from seqlc.interleave import is_optimal, tang_ding
 from seqlc.numtheory import legendre_symbol
 from seqlc.sequences import (
     BinarySeq,
+    _HALVES,
     GroupElement,
     _and_counts,
+    _half_counts,
     apply_group,
     autocorrelation_profile,
     hall_construction,
@@ -213,11 +215,12 @@ class TestIsIdeal:
             is_ideal(BinarySeq(0, 8))
 
 
-def per_shift_and_counts(a):
+def per_shift_and_counts(a, stride=1):
     """The AND-count histogram one shift at a time: |a AND L^tau(a)| over
-    tau = 1 .. N//2."""
+    tau = stride, 2 stride, ... up to N//2."""
     counts = Counter(
-        (a.mask & shift(a, tau).mask).bit_count() for tau in range(1, a.period // 2 + 1)
+        (a.mask & shift(a, tau).mask).bit_count()
+        for tau in range(stride, a.period // 2 + 1, stride)
     )
     return [counts[c] for c in range(a.weight + 1)]
 
@@ -251,12 +254,22 @@ class TestKernelBlockEdges:
     def test_blocked_kernel_matches_one_shift_at_a_time(self, a):
         n = a.period
         assert _and_counts(a) == per_shift_and_counts(a)
+        assert _and_counts(a, 2) == per_shift_and_counts(a, 2)
         values = Counter(autocorrelation(a, tau) for tau in range(1, n))
         assert autocorrelation_profile(a) == values
         if n % 4 == 3:
             assert is_ideal.__wrapped__(a) == (set(values) == {-1})
         if n % 4 == 0:
             assert is_optimal(a) == (set(values) <= {0, -4})
+
+    @pytest.mark.parametrize("a", [c for c in kernel_edge_cases() if c.values[0].period % 2 == 0])
+    def test_halves_match_the_direct_kernel(self, a):
+        # Cold, then warm: the second call finds the class, at rotation 0.
+        _HALVES.clear()
+        assert _half_counts(a) == _and_counts(a)
+        assert len(_HALVES) == 1
+        assert _half_counts(a) == _and_counts(a)
+        assert len(_HALVES) == 1
 
     def test_the_true_verdicts_are_reached(self):
         assert all(map(is_ideal.__wrapped__, KERNEL_IDEAL_CASES.values()))
