@@ -133,29 +133,31 @@ def _and_counts(a: BinarySeq, stride: int = 1) -> list[int]:
     A(tau) = N - 4|a| + 4c.  The shifts above N/2 repeat these, since
     A(tau) = A(N - tau).  L^tau(a) is the two-period int shifted right by
     tau, cut at bit N + N//2, above which no shift up to N/2 reads; the AND
-    with a drops the rest of the rotation.  The shifts go in blocks: with
-    cut the two-period int shifted right by tau0 once per _BLOCK shifts,
-    |(a << j) AND cut| = |a AND L^(tau0 + j)(a)| for each j < _BLOCK that is
-    a multiple of stride, while tau0 + j <= N//2.  Only the last block is
-    cut short.  The histogram is always built whole, so the verdicts have no
-    early exit on a bad shift; harness.MAX_PERIOD bounds what a rejected
+    with a drops the rest of the rotation.  The shifts go in blocks of
+    _BLOCK: with cut the two-period int shifted right by tau0 once per
+    block, |(a << j) AND cut| = |a AND L^(tau0 + j)(a)| for j = 0, stride,
+    ... below stride * _BLOCK, while tau0 + j <= N//2.  Only the last block
+    is cut short.  The histogram is always built whole, so the verdicts have
+    no early exit on a bad shift; harness.MAX_PERIOD bounds what a rejected
     input costs.
     """
     n, m = a.period, a.mask
     half = n // 2
     span = (m | m << n) & ((1 << (n + half)) - 1)
     counts = [0] * (m.bit_count() + 1)
+    step = stride * _BLOCK  # the shift of cut from block to block
     # m << j for j < _BLOCK, spelled out: at N = 92 the comprehension took
     # twice as long and left the kernel 10% slower than one shift per shift.
     block = [m, m << 1, m << 2, m << 3, m << 4, m << 5, m << 6, m << 7,
-             m << 8, m << 9, m << 10, m << 11, m << 12, m << 13, m << 14, m << 15][::stride]
-    whole = half - half % _BLOCK  # shifts up to whole fill whole blocks
-    for tau0 in range(stride, whole + 1, _BLOCK):
+             m << 8, m << 9, m << 10, m << 11, m << 12, m << 13, m << 14, m << 15
+             ] if stride == 1 else [m << j for j in range(0, step, stride)]
+    whole = half - half % step  # shifts up to whole fill whole blocks
+    for tau0 in range(stride, whole + 1, step):
         cut = span >> tau0
         for mj in block:
             counts[(mj & cut).bit_count()] += 1
     cut = span >> (whole + stride)
-    for mj in block[:half % _BLOCK // stride]:
+    for mj in block[:half % step // stride]:
         counts[(mj & cut).bit_count()] += 1
     return counts
 
