@@ -127,7 +127,7 @@ _BLOCK = 16
 
 def _and_counts(a: BinarySeq, stride: int = 1) -> list[int]:
     """counts[c]: how many shifts tau = stride, 2 stride, ... up to N//2 have
-    |a AND L^tau(a)| = c; stride is 1 or 2.
+    |a AND L^tau(a)| = c; stride is 1, or 2 for the even shifts.
 
     The AND-count kernel: |a XOR L^tau(a)| = 2|a| - 2c, so
     A(tau) = N - 4|a| + 4c.  The shifts above N/2 repeat these, since
@@ -182,46 +182,59 @@ def _cross_counts(e: int, o: int, p: int) -> list[int]:
     return x
 
 
-# Even periods from this one up take their AND counts from their halves.  On
-# interleaved pairs on one CPU, one miss plus five hits took 1.00x the time
-# of six direct kernels at N = 76 and 92, 0.94x at 124, 0.89x at 172 and
-# 0.69x at 524.  A miss alone took 2.0x at 124, 1.45x at 1132, 1.23x at 3596.
-_HALF_MIN_PERIOD = 100
+# Even periods from this one up take their AND counts from their halves.
+# Against six direct kernels on one CPU, a class's first point and five more
+# took 0.98-1.00x at N = 124, 0.96-0.99x at 140, 0.94-0.95x at 172, 0.60x at
+# 1132 and 0.42x at 3596.  A first point alone, the direct kernel and the
+# key, took 1.18x at 124, 1.05x at 1132 and 1.00x at 3596.
+_HALF_MIN_PERIOD = 140
 # Rotation classes of o the halves cache holds, oldest dropped first.  A
 # campaign class (a, b, s) is one; theorem6 interleaves six per a.
 _HALF_CLASSES = 8
-# Per class: e's view, o's view twice, w's even-shift AND counts and x twice.
-_HALVES: list[tuple[bytes, bytes, list[int], list[int]]] = []
+# Per class: [e's view, o's view twice, the first point's AND counts, and
+# from the second point on x twice]; the counts then keep the even shifts.
+_HALVES: list[list] = []
 
 
 def _half_counts(w: BinarySeq) -> list[int]:
     """_and_counts(w) for an even period N, from w's even-indexed half e and
-    odd-indexed half o, each of period P = N/2.
+    odd-indexed half o, each of period P = N/2, when their class recurs.
 
     For any binary w, with x[s] = |e AND L^s(o)| (indices mod P):
     |w AND L^(2t)(w)| = |e AND L^t(e)| + |o AND L^t(o)|, and
-    |w AND L^(2t+1)(w)| = x[t] + x[P-1-t].  The even shifts are
-    _and_counts(w, 2).  If o = L^k(o') then x_o[s] = x_o'[s + k], so both
-    parts depend on e and only on o's rotation class.  Each class is cached
-    by e's exact bits and one stored o', and o is found in it as an exact
-    bytes.find of o's view in the doubled view of o', which gives k; a hit
-    then reads the odd shifts 2t + 1 <= N/2 off two slices of x.  No fact
-    about w's origin or the paper is read, only w's bits.
+    |w AND L^(2t+1)(w)| = x[t] + x[P-1-t].  If o = L^k(o') then
+    x_o[s] = x_o'[s + k], so both parts depend on e and only on o's rotation
+    class.  Each class is cached by e's exact bits and one stored o', and o
+    is found in it as an exact bytes.find of o's view in the doubled view of
+    o', which gives k.  A class's first point, whose o is o', is
+    _and_counts(w) itself, so a single call costs the direct kernel and the
+    key.  Its second point computes x with _cross_counts and takes the odd
+    shifts out of the first point's counts, which leaves the even ones.
+    From then on a point reads its odd shifts 2t + 1 <= N/2 off two slices
+    of x.  No fact about w's origin or the paper is read, only w's bits.
     """
     n, p = w.period, w.period // 2
     view = _bit_view(w.mask, n)
     ev, ov = view[::2], view[1::2]
-    for key, doubled, even, xx in _HALVES:
-        if key == ev and (k := doubled.find(ov)) >= 0:
+    for entry in _HALVES:
+        if entry[0] == ev and (k := entry[1].find(ov)) >= 0:
             break
     else:
-        even = _and_counts(w, 2)
-        x = _cross_counts(_view_mask(ev), _view_mask(ov), p)
-        xx, k = x + x, 0
-        _HALVES.append((ev, ov + ov, even, xx))
+        counts = _and_counts(w)
+        _HALVES.append([ev, ov + ov, counts.copy()])
         del _HALVES[:-_HALF_CLASSES]
-    counts = even.copy()
+        return counts
+    _, doubled, even, *xx = entry
     h = (p + 1) // 2  # the odd shifts 2t + 1 <= N/2, t < h
+    if xx:
+        xx = xx[0]
+    else:
+        x = _cross_counts(_view_mask(ev), _view_mask(doubled[:p]), p)
+        xx = x + x
+        entry.append(xx)
+        for c in map(add, xx[:h], reversed(xx[p - h:p])):
+            even[c] -= 1
+    counts = even.copy()
     for c in map(add, xx[k:k + h], reversed(xx[k + p - h:k + p])):
         counts[c] += 1
     return counts

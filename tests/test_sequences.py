@@ -264,12 +264,11 @@ class TestKernelBlockEdges:
 
     @pytest.mark.parametrize("a", [c for c in kernel_edge_cases() if c.values[0].period % 2 == 0])
     def test_halves_match_the_direct_kernel(self, a):
-        # Cold, then warm: the second call finds the class, at rotation 0.
+        # A class's first point, its second (which computes x) and a later one.
         _HALVES.clear()
-        assert _half_counts(a) == _and_counts(a)
-        assert len(_HALVES) == 1
-        assert _half_counts(a) == _and_counts(a)
-        assert len(_HALVES) == 1
+        for _ in range(3):
+            assert _half_counts(a) == _and_counts(a)
+            assert len(_HALVES) == 1
 
     def test_the_true_verdicts_are_reached(self):
         assert all(map(is_ideal.__wrapped__, KERNEL_IDEAL_CASES.values()))
