@@ -125,39 +125,35 @@ def apply_group(a: BinarySeq, sigma: GroupElement) -> BinarySeq:
 _BLOCK = 16
 
 
-def _and_counts(a: BinarySeq, stride: int = 1) -> list[int]:
-    """counts[c]: how many shifts tau = stride, 2 stride, ... up to N//2 have
-    |a AND L^tau(a)| = c; stride is 1, or 2 for the even shifts.
+def _and_counts(a: BinarySeq) -> list[int]:
+    """counts[c]: how many shifts tau = 1 .. N//2 have |a AND L^tau(a)| = c.
 
     The AND-count kernel: |a XOR L^tau(a)| = 2|a| - 2c, so
     A(tau) = N - 4|a| + 4c.  The shifts above N/2 repeat these, since
     A(tau) = A(N - tau).  L^tau(a) is the two-period int shifted right by
     tau, cut at bit N + N//2, above which no shift up to N/2 reads; the AND
-    with a drops the rest of the rotation.  The shifts go in blocks of
-    _BLOCK: with cut the two-period int shifted right by tau0 once per
-    block, |(a << j) AND cut| = |a AND L^(tau0 + j)(a)| for j = 0, stride,
-    ... below stride * _BLOCK, while tau0 + j <= N//2.  Only the last block
-    is cut short.  The histogram is always built whole, so the verdicts have
-    no early exit on a bad shift; harness.MAX_PERIOD bounds what a rejected
-    input costs.
+    with a drops the rest of the rotation.  The shifts go in blocks: with
+    cut the two-period int shifted right by tau0 once per block,
+    |(a << j) AND cut| = |a AND L^(tau0 + j)(a)| for each j < _BLOCK, while
+    tau0 + j <= N//2.  Only the last block is cut short.  The histogram is
+    always built whole, so the verdicts have no early exit on a bad shift;
+    harness.MAX_PERIOD bounds what a rejected input costs.
     """
     n, m = a.period, a.mask
     half = n // 2
     span = (m | m << n) & ((1 << (n + half)) - 1)
     counts = [0] * (m.bit_count() + 1)
-    step = stride * _BLOCK  # the shift of cut from block to block
     # m << j for j < _BLOCK, spelled out: at N = 92 the comprehension took
     # twice as long and left the kernel 10% slower than one shift per shift.
     block = [m, m << 1, m << 2, m << 3, m << 4, m << 5, m << 6, m << 7,
-             m << 8, m << 9, m << 10, m << 11, m << 12, m << 13, m << 14, m << 15
-             ] if stride == 1 else [m << j for j in range(0, step, stride)]
-    whole = half - half % step  # shifts up to whole fill whole blocks
-    for tau0 in range(stride, whole + 1, step):
+             m << 8, m << 9, m << 10, m << 11, m << 12, m << 13, m << 14, m << 15]
+    whole = half - half % _BLOCK  # shifts 1 .. whole fill whole blocks
+    for tau0 in range(1, whole + 1, _BLOCK):
         cut = span >> tau0
         for mj in block:
             counts[(mj & cut).bit_count()] += 1
-    cut = span >> (whole + stride)
-    for mj in block[:half % step // stride]:
+    cut = span >> (whole + 1)
+    for mj in block[:half % _BLOCK]:
         counts[(mj & cut).bit_count()] += 1
     return counts
 
@@ -224,16 +220,13 @@ def _half_counts(w: BinarySeq) -> list[int]:
         _HALVES.append([ev, ov + ov, counts.copy()])
         del _HALVES[:-_HALF_CLASSES]
         return counts
-    _, doubled, even, *xx = entry
     h = (p + 1) // 2  # the odd shifts 2t + 1 <= N/2, t < h
-    if xx:
-        xx = xx[0]
-    else:
-        x = _cross_counts(_view_mask(ev), _view_mask(doubled[:p]), p)
-        xx = x + x
-        entry.append(xx)
-        for c in map(add, xx[:h], reversed(xx[p - h:p])):
-            even[c] -= 1
+    if len(entry) == 3:  # the class's second point
+        x = _cross_counts(_view_mask(ev), _view_mask(entry[1][:p]), p)
+        entry.append(x + x)
+        for c in map(add, x[:h], reversed(x[p - h:])):  # the first point's odd shifts
+            entry[2][c] -= 1
+    _, _, even, xx = entry
     counts = even.copy()
     for c in map(add, xx[k:k + h], reversed(xx[k + p - h:k + p])):
         counts[c] += 1
