@@ -187,9 +187,10 @@ _HALF_MIN_PERIOD = 140
 # Rotation classes of o the halves cache holds, oldest dropped first.  A
 # campaign class (a, b, s) is one; theorem6 interleaves six per a.
 _HALF_CLASSES = 8
-# Per class: [e's view, o's view twice, the first point's AND counts, and
-# from the second point on x twice]; the counts then keep the even shifts.
-_HALVES: list[list] = []
+# Per class: (e's view, o's view twice, AND counts, x twice).  Until the
+# class's second point the counts are the first point's and x is None; from
+# then on the counts are those of the even shifts.
+_HALVES: list[tuple] = []
 
 
 def _half_counts(w: BinarySeq) -> list[int]:
@@ -208,26 +209,28 @@ def _half_counts(w: BinarySeq) -> list[int]:
     shifts out of the first point's counts, which leaves the even ones.
     From then on a point reads its odd shifts 2t + 1 <= N/2 off two slices
     of x.  No fact about w's origin or the paper is read, only w's bits.
+    Entries are replaced, never changed in place.
     """
     n, p = w.period, w.period // 2
     view = _bit_view(w.mask, n)
     ev, ov = view[::2], view[1::2]
-    for entry in _HALVES:
-        if entry[0] == ev and (k := entry[1].find(ov)) >= 0:
+    for i, (key, doubled, counts, xx) in enumerate(_HALVES):
+        if key == ev and (k := doubled.find(ov)) >= 0:
             break
     else:
         counts = _and_counts(w)
-        _HALVES.append([ev, ov + ov, counts.copy()])
+        _HALVES.append((ev, ov + ov, counts, None))
         del _HALVES[:-_HALF_CLASSES]
-        return counts
+        return counts.copy()
     h = (p + 1) // 2  # the odd shifts 2t + 1 <= N/2, t < h
-    if len(entry) == 3:  # the class's second point
-        x = _cross_counts(_view_mask(ev), _view_mask(entry[1][:p]), p)
-        entry.append(x + x)
+    if xx is None:  # the class's second point
+        x = _cross_counts(_view_mask(ev), _view_mask(doubled[:p]), p)
+        xx = x + x
+        counts = counts.copy()
         for c in map(add, x[:h], reversed(x[p - h:])):  # the first point's odd shifts
-            entry[2][c] -= 1
-    _, _, even, xx = entry
-    counts = even.copy()
+            counts[c] -= 1
+        _HALVES[i] = ev, doubled, counts, xx
+    counts = counts.copy()
     for c in map(add, xx[k:k + h], reversed(xx[k + p - h:k + p])):
         counts[c] += 1
     return counts
