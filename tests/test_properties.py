@@ -6,7 +6,11 @@ kernel or the bit packing it checks.  Periods run from 1 to 200, with
 periods = 0 and = 3 (mod 4) drawn explicitly because is_optimal and
 is_ideal are defined only there.
 The halved correlation kernel's profile and Berlekamp-Massey are checked
-on periods drawn evenly from every residue mod 4.  The templated JSON report
+on periods drawn evenly from every residue mod 4.  The profile's halves
+are checked against the direct kernel at even periods on either side of
+their cutoff, on a class's first, second and later points, with the odd
+half rotated and the even half kept, and after one bit of the even half
+is flipped.  The templated JSON report
 is checked against json.dumps(payload, indent=2) of the same results.  The
 one-loop gcd, the z-set sizes read from one gcd and the one-view w(a, b) are
 checked against their earlier definitions, kept here as references.  The
@@ -167,7 +171,7 @@ class TestCorrelationKernel:
     def test_halves_hit_on_a_rotated_odd_half(self, bits, k, i):
         """o rotated by k with e kept is the cached class, found at k; one
         bit of e flipped is a new class."""
-        n, p = len(bits), len(bits) // 2
+        p = len(bits) // 2
         k %= p
         rotated = bits.copy()
         rotated[1::2] = bits[1::2][k:] + bits[1::2][:k]
