@@ -4,8 +4,9 @@ For a period-N binary sequence the linear complexity is N minus the degree
 of gcd(S(x), x^N - 1), where S is the period polynomial: the sequence's
 mask read as a packed GF(2) polynomial (see f2poly).  That gcd route
 and a Berlekamp-Massey synthesis in discrepancy form are separate code over
-separate inputs (BM reads only the 2N-term stream, reversed, one XOR per
-nonzero discrepancy), so each is an oracle for the other, although the two
+separate inputs (BM reads only the stream, reversed, one XOR per nonzero
+discrepancy: its first N + K terms, K = ceil(5N/8), and all 2N when the LC
+is above K), so each is an oracle for the other, although the two
 algorithms are equivalent (Dornstetter 1987).
 
 The gcd route splits the repeated roots of x^N - 1, as Games and Chan do
@@ -102,31 +103,53 @@ def lc_gcd(a: BinarySeq) -> int:
     return N - deg
 
 
-def lc_berlekamp_massey(a: BinarySeq) -> int:
-    """Length of the shortest GF(2) LFSR generating the periodic extension.
+def _lfsr_length(D: int, width: int, cap: int) -> int | None:
+    """Massey's L over the width terms of a reversed register D, or None once L > cap.
 
-    Massey's synthesis over 2N terms (LC <= N) of the reversed stream
-    t_i = s_(2N-1-i).  A periodic sequence and its reversal share their LC,
-    since the reciprocal of the minimal polynomial has the same degree.
-    Kept with t_i at bit 2N-1-i, the reversed stream is the register of two
-    periods, bit j = s_j.  In discrepancy form only D = C*T and E = B*T are
-    kept, in that layout; E's top bit is at B's step m (B = 1 at m = -1,
-    where E carries d = 1 at bit 2N), and C += x^(k-m) B is D ^= E >> (k-m).
-    Every earlier discrepancy is zero, so the next nonzero one is at step
-    k = 2N - D.bit_length(), and D never shifts.  The test 2L <= k is read
-    as d <= room, with d = D.bit_length() and room = 2N - 2L.  Terms past 2N
-    fall off bit 0, and the loop ends at D = 0, never at 2n + 2 or N + L; it
-    never reads x^N - 1 or the closed form.
+    D holds the stream t_i at bit width-1-i.  In discrepancy form only
+    D = C*T and E = B*T are kept, in that layout; E's top bit is at B's step
+    m (B = 1 at m = -1, where E carries d = 1 at bit width), and
+    C += x^(k-m) B is D ^= E >> (k-m).  Every earlier discrepancy is zero,
+    so the next nonzero one is at step k = width - D.bit_length(), and D
+    never shifts.  The test 2L <= k is read as d <= room, with
+    d = D.bit_length() and room = width - 2L.  Terms past width fall off
+    bit 0, and the loop ends at D = 0.
     """
-    N2 = 2 * a.period
-    D = a.mask | a.mask << a.period  # bit j = s_j = t_(2N-1-j)
-    E, e, room = D | 1 << N2, N2 + 1, N2  # e = E.bit_length() = 2N - m
+    E, e, room = D | 1 << width, width + 1, width  # e = E.bit_length() = width - m
+    floor = width - 2 * cap  # room below floor is L > cap
     while d := D.bit_length():
         F = E >> (e - d)  # x^(k-m) B*T, its top bit on D's
         if d <= room:  # L becomes k + 1 - L
             E, e, room = D, d, 2 * d - 2 - room
+            if room < floor:
+                return None
         D ^= F
-    return (N2 - room) // 2
+    return (width - room) // 2
+
+
+def lc_berlekamp_massey(a: BinarySeq) -> int:
+    """Length of the shortest GF(2) LFSR generating the periodic extension.
+
+    Massey's synthesis in discrepancy form (_lfsr_length) of the reversed
+    stream t_i = s_(2N-1-i).  A periodic sequence and its reversal share
+    their LC, since the reciprocal of the minimal polynomial has the same
+    degree.  Kept with t_i at bit 2N-1-i, the reversed stream is the
+    register of two periods, bit j = s_j, and its first N + K terms are the
+    register's top N + K bits.
+
+    The synthesis runs first over those N + K terms, K = ceil(5N/8), and
+    stops as soon as L > K.  If it ends with L <= K, L is the LC: an LFSR of
+    length L that generates N + L terms of an N-periodic stream generates
+    all of it, since for i >= N + L, t_i = t_(i-N) and the recurrence holds
+    at i - N >= L.  Otherwise it runs again over all 2N terms (LC <= N).
+    K is a fixed fraction of N, so a wrong K can cost time, never the LC.
+    Only s and N are read: never x^N - 1, 2n + 2 or the closed form.
+    """
+    N = a.period
+    K = (5 * N + 7) // 8
+    D = a.mask | a.mask << N  # bit j = s_j = t_(2N-1-j)
+    L = _lfsr_length(D >> (N - K), N + K, K)
+    return _lfsr_length(D, 2 * N, N) if L is None else L
 
 
 def z_set_sizes(a: BinarySeq, b: BinarySeq) -> tuple[int, int]:

@@ -37,9 +37,9 @@ from itertools import accumulate, chain, islice, repeat
 from .complexity import LCReport, analyze_pair
 from .numtheory import legendre_symbol
 from .sequences import (
-    _HALVES,
     BinarySeq,
     GroupElement,
+    clear_profile_cache,
     hall_construction,
     hall_seq,
     legendre_seq,
@@ -352,7 +352,7 @@ def run_campaigns(specs, jobs: int = 1) -> list[CampaignResult]:
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    _HALVES.clear()
+    clear_profile_cache()
     columns, places, firsts = _distinct_inputs(specs)
     if jobs == 1:
         parts = map(_run_input, *columns, repeat({}))

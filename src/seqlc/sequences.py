@@ -189,8 +189,15 @@ _HALF_MIN_PERIOD = 140
 _HALF_CLASSES = 8
 # Per class: (e's view, o's view twice, AND counts, x twice).  Until the
 # class's second point the counts are the first point's and x is None; from
-# then on the counts are those of the even shifts.
+# then on the counts are those of the even shifts, or, when x is constant,
+# every point's final counts, with x stored empty.
 _HALVES: list[tuple] = []
+
+
+def clear_profile_cache() -> None:
+    """Empty the profile's halves cache, so that what follows starts as cold
+    as a fresh process."""
+    _HALVES.clear()
 
 
 def _half_counts(w: BinarySeq) -> list[int]:
@@ -205,11 +212,14 @@ def _half_counts(w: BinarySeq) -> list[int]:
     is found in it as an exact bytes.find of o's view in the doubled view of
     o', which gives k.  A class's first point, whose o is o', is
     _and_counts(w) itself, so a single call costs the direct kernel and the
-    key.  Its second point computes x with _cross_counts and takes the odd
-    shifts out of the first point's counts, which leaves the even ones.
-    From then on a point reads its odd shifts 2t + 1 <= N/2 off two slices
-    of x.  No fact about w's origin or the paper is read, only w's bits.
-    Entries are replaced, never changed in place.
+    key.  Its second point computes x with _cross_counts.  If x is
+    constant, every odd shift of every point of the class counts 2 x[0],
+    whatever its k, so the first point's counts are the class's, and x is
+    stored empty.  Otherwise it takes the odd shifts out of the first
+    point's counts, which leaves the even ones, and from then on a point
+    reads its odd shifts 2t + 1 <= N/2 off two slices of x.  No fact about
+    w's origin or the paper is read, only w's bits.  Entries are replaced,
+    never changed in place.
     """
     n, p = w.period, w.period // 2
     view = _bit_view(w.mask, n)
@@ -225,13 +235,16 @@ def _half_counts(w: BinarySeq) -> list[int]:
     h = (p + 1) // 2  # the odd shifts 2t + 1 <= N/2, t < h
     if xx is None:  # the class's second point
         x = _cross_counts(_view_mask(ev), _view_mask(doubled[:p]), p)
-        xx = x + x
-        counts = counts.copy()
-        for c in map(add, x[:h], reversed(x[p - h:])):  # the first point's odd shifts
-            counts[c] -= 1
+        if min(x) == max(x):  # every point's odd shifts are the first point's
+            xx = ()
+        else:
+            xx = x + x
+            counts = counts.copy()
+            for c in map(add, x[:h], reversed(x[p - h:])):  # the first point's odd shifts
+                counts[c] -= 1
         _HALVES[i] = ev, doubled, counts, xx
     counts = counts.copy()
-    for c in map(add, xx[k:k + h], reversed(xx[k + p - h:k + p])):
+    for c in map(add, xx[k:k + h], reversed(xx[k + p - h:k + p])):  # none if x is ()
         counts[c] += 1
     return counts
 

@@ -44,10 +44,10 @@ from seqlc.complexity import (
 )
 from seqlc.interleave import tang_ding
 from seqlc.sequences import (
-    _HALVES,
     _and_counts,
     apply_group,
     autocorrelation_profile,
+    clear_profile_cache,
     is_ideal,
 )
 
@@ -97,13 +97,13 @@ def test_profile_cache(benchmark, cache, size):
     benchmark.group = size
     a, b, sigma, _, w = pair(size)
     if cache == "cold":
-        benchmark.pedantic(autocorrelation_profile, (w,), setup=_HALVES.clear, rounds=200)
+        benchmark.pedantic(autocorrelation_profile, (w,), setup=clear_profile_cache, rounds=200)
         return
     name, param = SIZES[size]
     spec = next(s for s in harness.named_campaigns(name) if s.param == param)
     points = [g for g in spec.grid if g.s == sigma.s][:3]  # sigma's class, sigma first
     first, second, third = (tang_ding(a, apply_group(b, g)) for g in points)
-    _HALVES.clear()
+    clear_profile_cache()
     autocorrelation_profile(first)
     autocorrelation_profile(second)
     benchmark(autocorrelation_profile, third)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import seqlc
+from seqlc import complexity
 from seqlc.complexity import (
     LCReport,
     analyze_pair,
@@ -22,7 +23,7 @@ from seqlc.complexity import (
     two_adic_max,
     z_set_sizes,
 )
-from seqlc.f2poly import gcd
+from seqlc.f2poly import _mul_int, gcd
 from seqlc.interleave import tang_ding
 from seqlc.sequences import (
     BinarySeq,
@@ -116,6 +117,44 @@ class TestLcGcd:
                 assert lc_gcd(w) == self.one_euclid(w) == lc_berlekamp_massey(w)
 
 
+def poly_divide(f, g):
+    """(quotient, remainder) of packed GF(2) polynomials, g nonzero."""
+    q, dg = 0, g.bit_length()
+    while f.bit_length() >= dg:
+        s = f.bit_length() - dg
+        q |= 1 << s
+        f ^= g << s
+    return q, f
+
+
+def divisors_by_degree(N):
+    """{degree: one divisor of x^N + 1}, from products of its factors of degree
+    at most 8, found by trial division, and the cofactor left over."""
+    factors, rest = [], (1 << N) | 1
+    for c in range(3, 1 << 9, 2):
+        q, r = poly_divide(rest, c)
+        while not r:
+            factors.append(c)
+            rest = q
+            q, r = poly_divide(rest, c)
+    factors += [rest] if rest != 1 else []
+    found = {0: 1}
+    for f in factors:
+        for d, g in list(found.items()):
+            found.setdefault(d + f.bit_length() - 1, _mul_int(g, f))
+    return found
+
+
+def sequence_with_lc(N, lc, rng):
+    """A sequence of period N whose LC is exactly lc: S = g u with g a divisor
+    of x^N + 1 of degree N - lc and u coprime to (x^N + 1) / g."""
+    g = divisors_by_degree(N)[N - lc]
+    while True:
+        S = _mul_int(g, rng.getrandbits(lc))
+        if gcd(S, (1 << N) | 1) == g:
+            return BinarySeq(S, N)
+
+
 class TestBerlekampMassey:
     def test_all_zero(self):
         assert lc_berlekamp_massey(BinarySeq(0, 11)) == 0
@@ -182,6 +221,41 @@ class TestBerlekampMassey:
     def test_no_ceiling_at_period_4n(self):
         # Period 4n with n = 899: the impulse's LC is N, far above 2n + 2 = 1800.
         assert lc_berlekamp_massey(BinarySeq(1, 3596)) == 3596
+
+    def test_matches_list_reference_up_to_period_300(self):
+        # Random sequences have LC near N, above K = ceil(5N/8): the N + K
+        # terms give no certificate and all 2N terms run.
+        rng = random.Random(31)
+        for n in [*range(1, 301, 7), *range(2, 301, 7)]:
+            a = BinarySeq(rng.getrandbits(n), n)
+            ref = list_berlekamp_massey(bits_of(a.mask, n) * 2)
+            assert lc_berlekamp_massey(a) == ref, (n, a.mask)
+
+    # Periods of both parities at which x^N + 1 has divisors of degree N - K
+    # and N - K - 1, K = ceil(5N/8).
+    CERTIFICATE_PERIODS = (15, 21, 31, 45, 51, 63, 255, 16, 24, 60, 64, 96, 256)
+
+    @pytest.mark.parametrize("n", CERTIFICATE_PERIODS)
+    def test_both_sides_of_the_certificate(self, monkeypatch, n):
+        # LC = K is certified by the first N + K terms; LC = K + 1 passes K
+        # there, and the synthesis runs again over all 2N terms.
+        calls = []
+
+        def spy(D, width, cap):
+            calls.append((width, cap, lfsr_length(D, width, cap)))
+            return calls[-1][-1]
+
+        lfsr_length = complexity._lfsr_length
+        monkeypatch.setattr(complexity, "_lfsr_length", spy)
+        rng = random.Random(n)
+        K = math.ceil(5 * n / 8)
+        for lc, runs in [(K, [(n + K, K, K)]), (K + 1, [(n + K, K, None), (2 * n, n, K + 1)])]:
+            for _ in range(3):
+                a = sequence_with_lc(n, lc, rng)
+                calls.clear()
+                assert lc_berlekamp_massey(a) == lc == lc_gcd(a), (n, a.mask)
+                assert list_berlekamp_massey(bits_of(a.mask, n) * 2) == lc
+                assert calls == runs
 
 
 class TestZSetSizes:

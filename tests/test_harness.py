@@ -1,5 +1,8 @@
+import __future__
 import concurrent.futures
 import dataclasses
+import importlib
+import inspect
 import io
 import json
 import math
@@ -127,6 +130,59 @@ MUTANTS = {
         "two_adic_max", lambda w: math.gcd(w.mask, (1 << w.period) + 1) == 1
     ),
     "profile-wrong-at-tau-1": ("autocorrelation_profile", profile_wrong_at_tau_1),
+}
+
+
+def internal_mutant(module, name, old, new):
+    """module's function name compiled from its source with old, which must
+    occur exactly once, replaced by new, in a copy of module's namespace."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, (name, old)
+    code = compile(
+        source.replace(old, new), module.__file__, "exec",
+        flags=__future__.annotations.compiler_flag, dont_inherit=True,
+    )
+    namespace = dict(vars(module))
+    exec(code, namespace)
+    return namespace[name]
+
+
+def grid_above_the_halves_cutoff():
+    """Hall p = 43 (N = 172, six classes of s) and twin-prime n = 35 (N = 140)."""
+    return [s for s in named_campaigns("theorem6") if s.param == 43] + at(theorem9_campaigns, 5)
+
+
+# One changed line inside a fast path of complexity or sequences each, as
+# (module, function, old text, new text, net, verify_catches).  The net is
+# the fixture-free test, module::Class::method, that must catch the mutant.
+# verify_catches records whether verify's own checks catch it on
+# grid_above_the_halves_cutoff(): none does.  On paper grids the LC is at
+# most N/2 + 2, below K - 1 with K = ceil(5N/8), so Berlekamp-Massey's
+# certificate always holds there, and x is constant, so no constancy test
+# can go wrong there.  Wrong room arithmetic gives wrong LCs on paper grids
+# only at n <= 31.
+INTERNAL_MUTANTS = {
+    "bm-cut-without-fallback": (
+        complexity, "_lfsr_length", "if room < floor:", "if False:",
+        "test_complexity::TestBerlekampMassey::test_matches_list_reference_up_to_period_300",
+        False,
+    ),
+    "bm-window-one-bit-short": (
+        complexity, "lc_berlekamp_massey", "D >> (N - K), N + K, K",
+        "D >> (N - K + 1), N + K - 1, K",
+        "test_complexity::TestBerlekampMassey::test_every_sequence_up_to_period_10",
+        False,
+    ),
+    "bm-room-is-2d-minus-room": (
+        complexity, "_lfsr_length", "2 * d - 2 - room", "2 * d - room",
+        "test_complexity::TestBerlekampMassey::test_every_sequence_up_to_period_10",
+        False,
+    ),
+    "halves-constant-flag-from-the-ends": (
+        sequences, "_half_counts", "min(x) == max(x)", "x[0] == x[-1]",
+        "test_properties::TestCorrelationKernel::test_halves_of_a_class_whose_x_has_equal_ends",
+        False,
+    ),
 }
 
 
@@ -542,6 +598,26 @@ class TestRunCampaign:
         assert all(res.passed for res in run_campaigns(specs, jobs=1))
         monkeypatch.setattr(complexity, *MUTANTS[name])
         assert any(not pt.passed for res in run_campaigns(specs, jobs=1) for pt in res.points)
+
+    @pytest.mark.parametrize("name", INTERNAL_MUTANTS)
+    def test_each_internal_mutant_meets_its_net(self, monkeypatch, name):
+        module, function, old, new, net, verify_catches = INTERNAL_MUTANTS[name]
+        specs = grid_above_the_halves_cutoff()
+        assert all(res.passed for res in run_campaigns(specs, jobs=1))
+        net_module, cls, method = net.split("::")
+        net_module = importlib.import_module(net_module)
+        original, mutant = getattr(module, function), internal_mutant(module, function, old, new)
+        # The net's module may hold the function under its own name.
+        for target in (module, net_module):
+            if getattr(target, function, None) is original:
+                monkeypatch.setattr(target, function, mutant)
+        try:
+            points = [pt for res in run_campaigns(specs, jobs=1) for pt in res.points]
+            assert any(not pt.passed for pt in points) == verify_catches
+            with pytest.raises(AssertionError):
+                getattr(getattr(net_module, cls)(), method)()
+        finally:
+            sequences.clear_profile_cache()  # no mutant's entry outlives the test
 
     def test_unknown_family_is_rejected_before_the_pool(self, monkeypatch):
         # Bases are built before the pool starts, and build_family names the family.

@@ -10,7 +10,9 @@ on periods drawn evenly from every residue mod 4.  The profile's halves
 are checked against the direct kernel at even periods on either side of
 their cutoff, on a class's first, second and later points, with the odd
 half rotated and the even half kept, and after one bit of the even half
-is flipped.  The templated JSON report
+is flipped.  A class is also checked at random rotations of o, when x, the
+cross-correlation of the halves, is constant (the Legendre pair above the
+cutoff) and when it varies (random w).  The templated JSON report
 is checked against json.dumps(payload, indent=2) of the same results.  The
 one-loop gcd, the z-set sizes read from one gcd and the one-view w(a, b) are
 checked against their earlier definitions, kept here as references.  The
@@ -25,10 +27,11 @@ and its reversal.
 import dataclasses
 import json
 import math
+import random
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqlc.complexity import LCReport, analyze_pair, lc_berlekamp_massey, z_set_sizes
@@ -51,6 +54,7 @@ from seqlc.sequences import (
     _half_counts,
     apply_group,
     autocorrelation_profile,
+    clear_profile_cache,
     is_ideal,
     legendre_seq,
     m_sequence,
@@ -139,6 +143,40 @@ def flip(a, i):
     return BinarySeq(a.mask ^ (1 << (i % a.period)), a.period)
 
 
+@st.composite
+def paper_interleavings(draw):
+    """The bits of w(a, sigma(b)) for the Legendre pair at a prime p = 3 mod 4
+    with N = 4p at or above the halves cutoff."""
+    p = draw(st.sampled_from((43, 47, 59, 67, 71, 79, 83)))
+    b = apply_group(legendre_seq(p, "ell_prime"), draw(units(p)))
+    return entries(tang_ding(legendre_seq(p), b))
+
+
+# Rotations k of o, one point each: a class's first, its second and later ones.
+rotations = st.lists(st.integers(0, MAX_N), min_size=3, max_size=6)
+
+
+def cross_values(bits):
+    """x[s] = |e AND L^s(o)| for w's even-indexed half e and odd-indexed
+    half o, from the lists."""
+    e, o = bits[0::2], bits[1::2]
+    p = len(o)
+    return [sum(e[i] & o[(i + s) % p] for i in range(p)) for s in range(p)]
+
+
+def check_class_points(bits, ks):
+    """w with e kept and o rotated by each k is one class of the halves cache,
+    and each point's counts are the direct kernel's."""
+    e, o = bits[0::2], bits[1::2]
+    clear_profile_cache()
+    for k in ks:
+        k %= len(o)
+        point = bits.copy()
+        point[1::2] = o[k:] + o[:k]
+        assert _half_counts(seq(point)) == _and_counts(seq(point)), ks
+    assert len(_HALVES) == 1
+
+
 class TestCorrelationKernel:
     @given(bit_lists(), st.integers(-2 * MAX_N, 2 * MAX_N))
     def test_autocorrelation(self, bits, tau):
@@ -186,6 +224,25 @@ class TestCorrelationKernel:
         assert len(_HALVES) == 2
         # The profile reads the halves from the cutoff up: here, a hit.
         assert autocorrelation_profile(seq(rotated)) == ref_profile(rotated)
+
+    @given(paper_interleavings(), rotations)
+    def test_halves_of_a_class_with_constant_x(self, bits, ks):
+        # The class's counts are stored whole at its second point.
+        assert len(set(cross_values(bits))) == 1
+        check_class_points(bits, ks)
+
+    @given(bit_lists(st.integers(_HALF_MIN_PERIOD // 2, MAX_N // 2).map(lambda q: 2 * q)), rotations)
+    def test_halves_of_a_class_with_varying_x(self, bits, ks):
+        assume(len(set(cross_values(bits))) > 1)
+        check_class_points(bits, ks)
+
+    def test_halves_of_a_class_whose_x_has_equal_ends(self):
+        # x[0] = x[P - 1], yet x is not constant: a constancy test that reads
+        # only the ends takes the first point's counts for the second's.
+        bits = bits_of(random.Random(1).getrandbits(140), 140)
+        x = cross_values(bits)
+        assert x[0] == x[-1] and len(set(x)) > 1
+        check_class_points(bits, [0, 1, 2])
 
     @given(bit_lists(periods.filter(lambda n: n % 4 == 3)))
     def test_is_ideal_random(self, bits):
