@@ -239,13 +239,13 @@ class TestBerlekampMassey:
     def test_both_sides_of_the_certificate(self, monkeypatch, n):
         # LC = K is certified by the first N + K terms; LC = K + 1 passes K
         # there, and the synthesis runs again over all 2N terms.
-        calls = []
+        calls, lfsr_length = [], complexity._lfsr_length
 
         def spy(D, width, cap):
-            calls.append((width, cap, lfsr_length(D, width, cap)))
-            return calls[-1][-1]
+            L = lfsr_length(D, width, cap)
+            calls.append((width, cap, L))
+            return L
 
-        lfsr_length = complexity._lfsr_length
         monkeypatch.setattr(complexity, "_lfsr_length", spy)
         rng = random.Random(n)
         K = math.ceil(5 * n / 8)

@@ -153,35 +153,30 @@ def grid_above_the_halves_cutoff():
 
 
 # One changed line inside a fast path of complexity or sequences each, as
-# (module, function, old text, new text, net, verify_catches).  The net is
-# the fixture-free test, module::Class::method, that must catch the mutant.
-# verify_catches records whether verify's own checks catch it on
-# grid_above_the_halves_cutoff(): none does.  On paper grids the LC is at
-# most N/2 + 2, below K - 1 with K = ceil(5N/8), so Berlekamp-Massey's
-# certificate always holds there, and x is constant, so no constancy test
-# can go wrong there.  Wrong room arithmetic gives wrong LCs on paper grids
-# only at n <= 31.
+# (module, function, old text, new text, net).  The net is the fixture-free
+# test, module::Class::method, that must catch the mutant.  Verify's own
+# checks on grid_above_the_halves_cutoff() catch none of them, and the test
+# records that.  On paper grids the LC is at most N/2 + 2, below K - 1 with
+# K = ceil(5N/8), so Berlekamp-Massey's certificate always holds there, and
+# x is constant, so no constancy test can go wrong there.  Wrong room
+# arithmetic gives wrong LCs on paper grids only at n <= 31.
 INTERNAL_MUTANTS = {
     "bm-cut-without-fallback": (
         complexity, "_lfsr_length", "if room < floor:", "if False:",
         "test_complexity::TestBerlekampMassey::test_matches_list_reference_up_to_period_300",
-        False,
     ),
     "bm-window-one-bit-short": (
         complexity, "lc_berlekamp_massey", "D >> (N - K), N + K, K",
         "D >> (N - K + 1), N + K - 1, K",
         "test_complexity::TestBerlekampMassey::test_every_sequence_up_to_period_10",
-        False,
     ),
     "bm-room-is-2d-minus-room": (
         complexity, "_lfsr_length", "2 * d - 2 - room", "2 * d - room",
         "test_complexity::TestBerlekampMassey::test_every_sequence_up_to_period_10",
-        False,
     ),
     "halves-constant-flag-from-the-ends": (
         sequences, "_half_counts", "min(x) == max(x)", "x[0] == x[-1]",
         "test_properties::TestCorrelationKernel::test_halves_of_a_class_whose_x_has_equal_ends",
-        False,
     ),
 }
 
@@ -600,8 +595,8 @@ class TestRunCampaign:
         assert any(not pt.passed for res in run_campaigns(specs, jobs=1) for pt in res.points)
 
     @pytest.mark.parametrize("name", INTERNAL_MUTANTS)
-    def test_each_internal_mutant_meets_its_net(self, monkeypatch, name):
-        module, function, old, new, net, verify_catches = INTERNAL_MUTANTS[name]
+    def test_each_internal_mutant_gets_past_verify_and_meets_its_net(self, monkeypatch, name):
+        module, function, old, new, net = INTERNAL_MUTANTS[name]
         specs = grid_above_the_halves_cutoff()
         assert all(res.passed for res in run_campaigns(specs, jobs=1))
         net_module, cls, method = net.split("::")
@@ -613,7 +608,7 @@ class TestRunCampaign:
                 monkeypatch.setattr(target, function, mutant)
         try:
             points = [pt for res in run_campaigns(specs, jobs=1) for pt in res.points]
-            assert any(not pt.passed for pt in points) == verify_catches
+            assert all(pt.passed for pt in points)
             with pytest.raises(AssertionError):
                 getattr(getattr(net_module, cls)(), method)()
         finally:
