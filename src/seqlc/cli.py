@@ -23,27 +23,13 @@ import os
 import sys
 
 from . import harness
-from .complexity import (
-    analyze_pair,
-    lc_berlekamp_massey,
-    lc_gcd,
-    two_adic_gcd,
-)
+from .complexity import analyze_pair, lc_berlekamp_massey, lc_gcd, two_adic_gcd
 from .harness import (
-    CSV_REPORT_FIELDS,
-    NAMED_CAMPAIGNS,
-    build_family,
-    emit_report,
-    read_sequence,
+    CSV_REPORT_FIELDS, NAMED_CAMPAIGNS, build_family, emit_report, read_sequence,
     run_campaigns,
 )
 from .interleave import is_optimal, tang_ding
-from .sequences import (
-    GroupElement,
-    apply_group,
-    autocorrelation_profile,
-    is_ideal,
-)
+from .sequences import GroupElement, apply_group, autocorrelation_profile, is_ideal
 
 # Longest input `report` reads, in characters.  Earlier versions' `--full-s`
 # option wrote reports of up to about 45 MB, which this still admits.
@@ -162,68 +148,90 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _gen_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("family", choices=harness.FAMILIES)
+    p.add_argument("--p", type=int, help="prime parameter")
+    p.add_argument("--l", type=int, help="LFSR degree (m-sequence)")
+    p.add_argument("--r", type=int, default=0, help="shift to apply")
+    p.add_argument("--s", type=int, default=1, help="sample index to apply")
+    p.add_argument("--variant", help="m-sequence polynomial ('alt' or an encoding)")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_gen)
+
+
+def _autocorr_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("sequence")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_autocorr)
+
+
+def _lc_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("sequence")
+    p.add_argument("pair", nargs="?", help="second file: analyze w(a, b)")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_lc)
+
+
+def _interleave_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("sequence_a")
+    p.add_argument("sequence_b")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_interleave)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("campaign", choices=(*NAMED_CAMPAIGNS, "all"))
+    p.add_argument("--p", type=int, help="restrict to one prime parameter")
+    p.add_argument("--l", type=int, help="restrict to one m-sequence degree")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out")
+    p.add_argument("--seed", type=int, default=harness.BOUND_SEED,
+                   help="seed for the randomized consistency sweep")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="processes in the run's one pool (1 to the CPU count)")
+    p.set_defaults(func=_cmd_verify)
+
+
+def _report_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_report)
+
+
+# Each subcommand's help line and the function that adds its arguments.
+_COMMANDS = {
+    "gen": ("emit one period of a sequence family", _gen_args),
+    "autocorr": ("autocorrelation profile of a file", _autocorr_args),
+    "lc": ("linear complexity of a file (or a pair)", _lc_args),
+    "interleave": ("build w(a, b) from two files", _interleave_args),
+    "verify": ("run named verification campaigns", _verify_args),
+    "report": ("convert an emitted JSON report", _report_args),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="seqlc",
-        description=(
-            "Binary sequences with ideal autocorrelation: interleaving, "
-            "linear complexity, 2-adic maximality."
-        ),
-    )
+    parser = argparse.ArgumentParser(prog="seqlc", description=(
+        "Binary sequences with ideal autocorrelation: interleaving, "
+        "linear complexity, 2-adic maximality."
+    ))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="emit one period of a sequence family")
-    p_gen.add_argument("family", choices=harness.FAMILIES)
-    p_gen.add_argument("--p", type=int, help="prime parameter")
-    p_gen.add_argument("--l", type=int, help="LFSR degree (m-sequence)")
-    p_gen.add_argument("--r", type=int, default=0, help="shift to apply")
-    p_gen.add_argument("--s", type=int, default=1, help="sample index to apply")
-    p_gen.add_argument("--variant", help="m-sequence polynomial ('alt' or an encoding)")
-    p_gen.add_argument("--out")
-    p_gen.set_defaults(func=_cmd_gen)
-
-    p_ac = sub.add_parser("autocorr", help="autocorrelation profile of a file")
-    p_ac.add_argument("sequence")
-    p_ac.add_argument("--out")
-    p_ac.set_defaults(func=_cmd_autocorr)
-
-    p_lc = sub.add_parser("lc", help="linear complexity of a file (or a pair)")
-    p_lc.add_argument("sequence")
-    p_lc.add_argument("pair", nargs="?", help="second file: analyze w(a, b)")
-    p_lc.add_argument("--out")
-    p_lc.set_defaults(func=_cmd_lc)
-
-    p_il = sub.add_parser("interleave", help="build w(a, b) from two files")
-    p_il.add_argument("sequence_a")
-    p_il.add_argument("sequence_b")
-    p_il.add_argument("--out")
-    p_il.set_defaults(func=_cmd_interleave)
-
-    p_vf = sub.add_parser("verify", help="run named verification campaigns")
-    p_vf.add_argument(
-        "campaign", choices=tuple(NAMED_CAMPAIGNS) + ("all",)
-    )
-    p_vf.add_argument("--p", type=int, help="restrict to one prime parameter")
-    p_vf.add_argument("--l", type=int, help="restrict to one m-sequence degree")
-    p_vf.add_argument("--format", choices=("json", "csv"), default="json")
-    p_vf.add_argument("--out")
-    p_vf.add_argument("--seed", type=int, default=harness.BOUND_SEED,
-                      help="seed for the randomized consistency sweep")
-    p_vf.add_argument("--jobs", type=int, default=1,
-                      help="processes in the run's one pool (1 to the CPU count)")
-    p_vf.set_defaults(func=_cmd_verify)
-
-    p_rp = sub.add_parser("report", help="convert an emitted JSON report")
-    p_rp.add_argument("input")
-    p_rp.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_rp.add_argument("--out")
-    p_rp.set_defaults(func=_cmd_report)
-
+    for name, (help_text, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = extras = None
+    if argv and argv[0] in _COMMANDS:
+        # Only argv[0]'s parser, under the prog the full one gives it; the
+        # full parser is built only to print top-level help or an error.
+        parser = argparse.ArgumentParser(prog=f"seqlc {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+    if args is None or extras:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -26,6 +26,13 @@ named_campaigns("all") is timed alone: building the specs of a run is part
 of every perfbench workload's setup_s.  Rounds after the first find the
 Hall candidates in is_ideal's cache, so it times warm spec building.
 
+The cli group times the command line's own cost.  build_parser builds the
+full parser, the top level with all six subcommands; seqlc builds it only
+for top-level help or an error.  gen-legendre-p131 is one whole
+cli.main(["gen", "legendre", "--p", "131", "--out", FILE]): one
+subcommand's parser, the Legendre sequence and the file write, with the
+is_ideal cache as earlier rounds leave it.
+
 For an A/B comparison of two checkouts, run the command in each with
 --benchmark-save=NAME, alternating, then pytest-benchmark compare.
 """
@@ -34,7 +41,7 @@ import functools
 
 import pytest
 
-from seqlc import harness
+from seqlc import cli, harness
 from seqlc.complexity import (
     analyze_pair,
     lc_berlekamp_massey,
@@ -138,3 +145,14 @@ def test_writer(benchmark, writer):
 def test_named_campaigns(benchmark):
     benchmark.group = "specs"
     benchmark(harness.named_campaigns, "all")
+
+
+def test_cli_build_parser(benchmark):
+    benchmark.group = "cli"
+    benchmark(cli.build_parser)
+
+
+def test_cli_gen_legendre_p131(benchmark, tmp_path):
+    benchmark.group = "cli"
+    argv = ["gen", "legendre", "--p", "131", "--out", str(tmp_path / "l.txt")]
+    assert benchmark(cli.main, argv) == 0

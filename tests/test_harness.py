@@ -1,5 +1,6 @@
 import __future__
 import concurrent.futures
+import contextlib
 import dataclasses
 import importlib
 import inspect
@@ -154,11 +155,13 @@ def grid_above_the_halves_cutoff():
 
 # One changed line inside a fast path of complexity or sequences each, as
 # (module, function, old text, new text, net).  The net is the fixture-free
-# test, module::Class::method, that must catch the mutant.  Verify's own
-# checks on grid_above_the_halves_cutoff() catch none of them, and the test
-# records that.  On paper grids the LC is at most N/2 + 2, below K - 1 with
-# K = ceil(5N/8), so Berlekamp-Massey's certificate always holds there, and
-# x is constant, so no constancy test can go wrong there.  Wrong room
+# test, module::Class::method, that must catch the mutant.  It is a plain
+# test: hypothesis fails a method called on two instances of its class
+# (HealthCheck.differing_executors), here and then under pytest.  Verify's
+# own checks on grid_above_the_halves_cutoff() catch none of them, and the
+# test records that.  On paper grids the LC is at most N/2 + 2, below K - 1
+# with K = ceil(5N/8), so Berlekamp-Massey's certificate always holds there,
+# and x is constant, so no constancy test can go wrong there.  Wrong room
 # arithmetic gives wrong LCs on paper grids only at n <= 31.
 INTERNAL_MUTANTS = {
     "bm-cut-without-fallback": (
@@ -176,6 +179,11 @@ INTERNAL_MUTANTS = {
     ),
     "halves-constant-flag-from-the-ends": (
         sequences, "_half_counts", "min(x) == max(x)", "x[0] == x[-1]",
+        "test_properties::TestCorrelationKernel::test_halves_of_a_class_whose_x_has_equal_ends",
+    ),
+    "halves-later-point-reads-x-from-k-plus-1": (
+        sequences, "_half_counts", "xx[k:k + h], reversed(xx[k + p - h:k + p])",
+        "xx[k + 1:k + 1 + h], reversed(xx[k + 1 + p - h:k + 1 + p])",
         "test_properties::TestCorrelationKernel::test_halves_of_a_class_whose_x_has_equal_ends",
     ),
 }
@@ -810,7 +818,104 @@ class TestNamedCampaigns:
         assert sum(len(s.grid) for s in specs) >= 200
 
 
+def captured(call, argv):
+    """(exit code or return value, stdout, stderr) of call(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Each subcommand's positionals, all of them given and valid.
+CLI_POSITIONALS = {
+    "gen": ["legendre"],
+    "autocorr": ["a.txt"],
+    "lc": ["a.txt", "b.txt"],
+    "interleave": ["a.txt", "b.txt"],
+    "verify": ["theorem5"],
+    "report": ["r.json"],
+}
+# argv lists that stop in the parser, with help or an error: per subcommand
+# -h, no arguments, a missing positional, an unknown option, an extra
+# positional, an abbreviated option without its value; then bad values and
+# the top level.
+CLI_PARSER_EXITS = [
+    argv
+    for cmd, pos in CLI_POSITIONALS.items()
+    for argv in (
+        [cmd, "-h"], [cmd], [cmd, "--out", "o.txt"], [cmd, *pos, "--zzz"],
+        [cmd, *pos, "extra"], [cmd, *pos, "--ou"],
+    )
+] + [
+    ["interleave", "a.txt"],
+    ["gen", "fibonacci"],
+    ["gen", "legendre", "--p", "x"],
+    ["verify", "theorem5", "--form", "xml"],
+    ["report", "r.json", "--help", "--zzz"],
+    [],
+    ["-h"],
+    ["--help", "gen"],
+    ["bogus"],
+    ["--out", "o.txt", "gen"],
+]
+# The argv shapes that TestCli's other tests run; each parses.
+CLI_VALID = [
+    ["gen", "legendre", "--p", "7"],
+    ["gen", "legendre", "--p", "7", "--r", "1"],
+    ["gen", "legendre"],
+    ["gen", "m-sequence", "--p", "7"],
+    ["gen", "legendre", "--p", "7", "--variant", "bogus"],
+    ["gen", "m-sequence", "--l", "3", "--variant", "bogus"],
+    ["gen", "hall", "--p", "31", "--s", "31"],
+    ["gen", "twin-prime", "--p", "137"],
+    ["autocorr", "a.txt"],
+    ["lc", "a.txt"],
+    ["lc", "a.txt", "b.txt"],
+    ["interleave", "a.txt", "b.txt", "--out", "w.txt"],
+    ["verify", "theorem5", "--p", "8"],
+    ["verify", "theorem5", "--p", "7", "--out", "report.json"],
+    ["verify", "msequence", "--p", "7", "--l", "3"],
+    ["verify", "msequence", "--l", "3", "--format", "csv"],
+    ["verify", "all", "--p", "5", "--format", "csv"],
+    ["verify", "bound", "--l", "5", "--format", "csv"],
+    ["verify", "theorem5", "--p", "7", "--jobs", "0"],
+    ["report", "r.json", "--format", "csv"],
+    ["report", "r.json", "--format", "csv", "--format", "json"],
+]
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv", CLI_PARSER_EXITS, ids=" ".join)
+    def test_parser_exit_matches_the_full_parser(self, argv):
+        # Byte for byte: main builds one subcommand's parser where it can.
+        full = captured(lambda a: cli.build_parser().parse_args(a), argv)
+        assert full[0] in (0, 2)  # the full parser exits, with help or an error
+        assert captured(main, argv) == full
+
+    @pytest.mark.parametrize("argv", CLI_VALID, ids=" ".join)
+    def test_namespace_matches_the_full_parser(self, monkeypatch, argv):
+        seen = []
+        for cmd in CLI_POSITIONALS:
+            monkeypatch.setattr(cli, f"_cmd_{cmd}", lambda args: seen.append(vars(args)) or 0)
+        assert main(argv) == 0
+        full = vars(cli.build_parser().parse_args(argv))
+        assert full.pop("command") == argv[0]
+        (ours,) = seen
+        ours.pop("command", None)
+        assert ours == full
+
+    def test_a_command_never_builds_the_full_parser(self, monkeypatch, capsys):
+        def no_full_parser():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", no_full_parser)
+        assert main(["gen", "legendre", "--p", "7"]) == 0
+        assert main(["verify", "theorem5", "--p", "7", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.startswith("0110100\n" + CSV_HEADER)
+
     def test_gen_legendre(self, capsys):
         assert main(["gen", "legendre", "--p", "7"]) == 0
         assert capsys.readouterr().out == "0110100\n"
