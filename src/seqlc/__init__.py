@@ -10,7 +10,7 @@ from .complexity import (
     two_adic_max,
     z_set_sizes,
 )
-from .interleave import is_optimal, tang_ding
+from .interleave import tang_ding
 from .numtheory import cyclotomic_classes6, is_prime, legendre_symbol
 from .sequences import (
     BinarySeq,
@@ -38,7 +38,6 @@ __all__ = [
     "cyclotomic_classes6",
     "hall_seq",
     "is_ideal",
-    "is_optimal",
     "is_prime",
     "lc_berlekamp_massey",
     "lc_gcd",

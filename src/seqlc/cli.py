@@ -28,8 +28,8 @@ from .harness import (
     CSV_REPORT_FIELDS, NAMED_CAMPAIGNS, build_family, emit_report, read_sequence,
     run_campaigns,
 )
-from .interleave import is_optimal, tang_ding
-from .sequences import GroupElement, apply_group, autocorrelation_profile, is_ideal
+from .interleave import tang_ding
+from .sequences import GroupElement, apply_group, autocorrelation_profile
 
 # Longest input `report` reads, in characters.  Earlier versions' `--full-s`
 # option wrote reports of up to about 45 MB, which this still admits.
@@ -69,9 +69,9 @@ def _cmd_autocorr(args) -> int:
     for v in sorted(profile):
         lines.append(f"A = {v}: {profile[v]} shifts")
     if n % 4 == 3:
-        lines.append(f"ideal: {str(is_ideal(seq)).lower()}")
+        lines.append(f"ideal: {str(profile == {-1: n - 1}).lower()}")
     if n % 4 == 0:
-        lines.append(f"optimal: {str(is_optimal(seq)).lower()}")
+        lines.append(f"optimal: {str(set(profile) <= {0, -4}).lower()}")
     _out("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -9,13 +9,13 @@ period-4n sequence
     w(a, b) = I(a, L^m(b), L^2m(a), L^3m(complement(b))),  m = (n+1)/4,
 
 which has optimal autocorrelation (all nonzero-shift values 0 or -4, as
-is_optimal reads off sequences' profile) whenever a and b are ideal.
+seqlc autocorr reads off sequences' profile) whenever a and b are ideal.
 """
 
 from __future__ import annotations
 
 from .f2poly import _bit_view, _view_mask
-from .sequences import BinarySeq, autocorrelation_profile
+from .sequences import BinarySeq
 
 # Complement of a byte-per-bit view.
 _FLIP = bytes.maketrans(b"01", b"10")
@@ -41,16 +41,3 @@ def tang_ding(a: BinarySeq, b: BinarySeq) -> BinarySeq:
     for k, column in enumerate(columns):
         view[k::4] = column
     return BinarySeq(_view_mask(view), 4 * n)
-
-
-def is_optimal(w: BinarySeq) -> bool:
-    """True iff every nonzero shift has autocorrelation 0 or -4.
-
-    Defined for periods divisible by 4, the residue class where {0, -4}
-    is the best achievable value set.  Reads the full profile, with no exit
-    at the first bad shift.
-    """
-    N = w.period
-    if N % 4 != 0:
-        raise ValueError(f"optimal autocorrelation needs period = 0 mod 4, got {N}")
-    return set(autocorrelation_profile(w)) <= {0, -4}

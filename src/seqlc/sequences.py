@@ -4,8 +4,8 @@ A BinarySeq is one period bit-packed into an int, its mask (bit i = a_i),
 which is also its period polynomial S(x); text is its one constructor and
 view.  Cyclic shift is an integer rotation.  Only the profile maps the
 AND counts |a AND L^tau(a)|, tau up to N/2, to values (see _and_counts, and
-_half_counts for even periods); the ideal verdict here and the optimal
-verdict in interleave read it.
+_half_counts for even periods); the ideal verdict here and seqlc autocorr's
+verdicts read it.  One blocked kernel, _and_histogram, counts every AND.
 Sequences compare as exact periodic bit vectors; no cyclic-equivalence
 quotient is applied implicitly.
 
@@ -29,7 +29,6 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import compress
-from operator import add
 from typing import Iterator, Literal
 
 from .f2poly import _bit_view, _view_mask, pow_mod
@@ -119,63 +118,48 @@ def apply_group(a: BinarySeq, sigma: GroupElement) -> BinarySeq:
     return shift(sample(a, sigma.s), sigma.r)
 
 
-# Shifts per right shift of the two-period int in _and_counts.  At N = 3596
-# blocks of 4, 8 and 16 ran the kernel at 0.78, 0.72 and 0.70 of one right
-# shift per shift.
+# Shifts per right shift of the span in _and_histogram.  At N = 3596 blocks
+# of 4, 8 and 16 ran the profile at 0.78, 0.72 and 0.70 of one right shift
+# per shift.
 _BLOCK = 16
+
+
+def _and_histogram(m: int, span: int, start: int, stop: int) -> list[int]:
+    """counts[c]: how many j in start .. stop - 1 have |m AND (span >> j)| = c.
+
+    The one AND-count kernel.  The shifts go in blocks: with cut = span >> j0
+    once per block, |(m << i) AND cut| = |m AND (span >> (j0 + i))| for each
+    i < _BLOCK.  Only the last block is cut short.  The histogram is always
+    built whole, so the verdicts have no early exit on a bad shift;
+    harness.MAX_PERIOD bounds what a rejected input costs.
+    """
+    counts = [0] * (m.bit_count() + 1)
+    # m << i for i < _BLOCK, spelled out: at N = 92 the comprehension took
+    # twice as long and left the kernel 10% slower than one shift per shift.
+    block = [m, m << 1, m << 2, m << 3, m << 4, m << 5, m << 6, m << 7,
+             m << 8, m << 9, m << 10, m << 11, m << 12, m << 13, m << 14, m << 15]
+    whole = stop - (stop - start) % _BLOCK  # start .. whole - 1 fill whole blocks
+    for j0 in range(start, whole, _BLOCK):
+        cut = span >> j0
+        for mj in block:
+            counts[(mj & cut).bit_count()] += 1
+    cut = span >> whole
+    for mj in block[:stop - whole]:
+        counts[(mj & cut).bit_count()] += 1
+    return counts
 
 
 def _and_counts(a: BinarySeq) -> list[int]:
     """counts[c]: how many shifts tau = 1 .. N//2 have |a AND L^tau(a)| = c.
 
-    The AND-count kernel: |a XOR L^tau(a)| = 2|a| - 2c, so
-    A(tau) = N - 4|a| + 4c.  The shifts above N/2 repeat these, since
-    A(tau) = A(N - tau).  L^tau(a) is the two-period int shifted right by
-    tau, cut at bit N + N//2, above which no shift up to N/2 reads; the AND
-    with a drops the rest of the rotation.  The shifts go in blocks: with
-    cut the two-period int shifted right by tau0 once per block,
-    |(a << j) AND cut| = |a AND L^(tau0 + j)(a)| for each j < _BLOCK, while
-    tau0 + j <= N//2.  Only the last block is cut short.  The histogram is
-    always built whole, so the verdicts have no early exit on a bad shift;
-    harness.MAX_PERIOD bounds what a rejected input costs.
+    |a XOR L^tau(a)| = 2|a| - 2c, so A(tau) = N - 4|a| + 4c.  The shifts
+    above N/2 repeat these, since A(tau) = A(N - tau).  L^tau(a) is the
+    two-period int shifted right by tau, cut at bit N + N//2, above which no
+    shift up to N/2 reads; the AND with a drops the rest of the rotation.
     """
     n, m = a.period, a.mask
     half = n // 2
-    span = (m | m << n) & ((1 << (n + half)) - 1)
-    counts = [0] * (m.bit_count() + 1)
-    # m << j for j < _BLOCK, spelled out: at N = 92 the comprehension took
-    # twice as long and left the kernel 10% slower than one shift per shift.
-    block = [m, m << 1, m << 2, m << 3, m << 4, m << 5, m << 6, m << 7,
-             m << 8, m << 9, m << 10, m << 11, m << 12, m << 13, m << 14, m << 15]
-    whole = half - half % _BLOCK  # shifts 1 .. whole fill whole blocks
-    for tau0 in range(1, whole + 1, _BLOCK):
-        cut = span >> tau0
-        for mj in block:
-            counts[(mj & cut).bit_count()] += 1
-    cut = span >> (whole + 1)
-    for mj in block[:half % _BLOCK]:
-        counts[(mj & cut).bit_count()] += 1
-    return counts
-
-
-def _cross_counts(e: int, o: int, p: int) -> list[int]:
-    """x[s] = |e AND L^s(o)| for s < p, two masks of period p.
-
-    The cross-correlation kernel, in the blocks of _and_counts: with cut the
-    two-period int of o shifted right by s0, |(e << j) AND cut| = x[s0 + j].
-    """
-    span = o | o << p
-    block = [e << j for j in range(_BLOCK)]
-    x = []
-    whole = p - p % _BLOCK
-    for s0 in range(0, whole, _BLOCK):
-        cut = span >> s0
-        for ej in block:
-            x.append((ej & cut).bit_count())
-    cut = span >> whole
-    for ej in block[:p % _BLOCK]:
-        x.append((ej & cut).bit_count())
-    return x
+    return _and_histogram(m, (m | m << n) & ((1 << (n + half)) - 1), 1, half + 1)
 
 
 # Even periods from this one up take their AND counts from their halves.
@@ -187,10 +171,9 @@ _HALF_MIN_PERIOD = 140
 # Rotation classes of o the halves cache holds, oldest dropped first.  A
 # campaign class (a, b, s) is one; theorem6 interleaves six per a.
 _HALF_CLASSES = 8
-# Per class: (e's view, o's view twice, AND counts, x twice).  Until the
-# class's second point the counts are the first point's and x is None; from
-# then on the counts are those of the even shifts, or, when x is constant,
-# every point's final counts, with x stored empty.
+# Per class: (e's view, the view of o' twice, the first point's AND counts,
+# shared).  shared is None until the class's second point, then whether x
+# is constant, that is, whether every point has the first point's counts.
 _HALVES: list[tuple] = []
 
 
@@ -207,46 +190,34 @@ def _half_counts(w: BinarySeq) -> list[int]:
     For any binary w, with x[s] = |e AND L^s(o)| (indices mod P):
     |w AND L^(2t)(w)| = |e AND L^t(e)| + |o AND L^t(o)|, and
     |w AND L^(2t+1)(w)| = x[t] + x[P-1-t].  If o = L^k(o') then
-    x_o[s] = x_o'[s + k], so both parts depend on e and only on o's rotation
-    class.  Each class is cached by e's exact bits and one stored o', and o
-    is found in it as an exact bytes.find of o's view in the doubled view of
-    o', which gives k.  A class's first point, whose o is o', is
+    x_o[s] = x_o'[s + k].  So when x is constant every odd shift counts
+    2 x[0], and every w with the same e and an o in the same rotation class
+    has the same counts.  Each class is cached by e's exact bits and one
+    stored o', and o is found in it by an exact search of o's view in the
+    doubled view of o'.  A class's first point, whose o is o', is
     _and_counts(w) itself, so a single call costs the direct kernel and the
-    key.  Its second point computes x with _cross_counts.  If x is
-    constant, every odd shift of every point of the class counts 2 x[0],
-    whatever its k, so the first point's counts are the class's, and x is
-    stored empty.  Otherwise it takes the odd shifts out of the first
-    point's counts, which leaves the even ones, and from then on a point
-    reads its odd shifts 2t + 1 <= N/2 off two slices of x.  No fact about
-    w's origin or the paper is read, only w's bits.  Entries are replaced,
-    never changed in place.
+    key.  Its second point histograms x with _and_histogram over the shifts
+    0 .. P-1 of o' twice: x is constant iff one value takes all P shifts.
+    If so, the class is shared and each later point copies the first
+    point's counts; if not, each later point runs the direct kernel.  No
+    fact about w's origin or the paper is read, only w's bits.  Entries are
+    replaced, never changed in place.
     """
     n, p = w.period, w.period // 2
     view = _bit_view(w.mask, n)
     ev, ov = view[::2], view[1::2]
-    for i, (key, doubled, counts, xx) in enumerate(_HALVES):
-        if key == ev and (k := doubled.find(ov)) >= 0:
+    for i, (key, doubled, counts, shared) in enumerate(_HALVES):
+        if key == ev and ov in doubled:
             break
     else:
         counts = _and_counts(w)
         _HALVES.append((ev, ov + ov, counts, None))
         del _HALVES[:-_HALF_CLASSES]
         return counts.copy()
-    h = (p + 1) // 2  # the odd shifts 2t + 1 <= N/2, t < h
-    if xx is None:  # the class's second point
-        x = _cross_counts(_view_mask(ev), _view_mask(doubled[:p]), p)
-        if min(x) == max(x):  # every point's odd shifts are the first point's
-            xx = ()
-        else:
-            xx = x + x
-            counts = counts.copy()
-            for c in map(add, x[:h], reversed(x[p - h:])):  # the first point's odd shifts
-                counts[c] -= 1
-        _HALVES[i] = ev, doubled, counts, xx
-    counts = counts.copy()
-    for c in map(add, xx[k:k + h], reversed(xx[k + p - h:k + p])):  # none if x is ()
-        counts[c] += 1
-    return counts
+    if shared is None:  # the class's second point
+        shared = p in _and_histogram(_view_mask(ev), _view_mask(doubled), 0, p)
+        _HALVES[i] = key, doubled, counts, shared
+    return counts.copy() if shared else _and_counts(w)
 
 
 def autocorrelation_profile(a: BinarySeq) -> dict[int, int]:

@@ -7,13 +7,16 @@ and it needs the pytest-benchmark plugin.  Each case times one stage of
 analyze_pair, or the whole pair, on the first grid point sigma of a
 campaign under an LC claim: Legendre p = 23 (theorem5), Hall p = 283
 (theorem6) and twin-prime n = 899 (theorem9 at p = 29).  and_counts is
-the direct correlation kernel alone, on w(a, sigma(b)); autocorrelation_profile
-reads it below sequences._HALF_MIN_PERIOD and reads w's halves from there
-on.  The profile's stage runs with the halves cache as the other cases
-leave it; test_profile_cache times it cold, the cache emptied before each
-call (untimed), which is a class's first point, and warm, on the third
-grid point of one class (same s, the next r) after the first two were
-seen.  At p = 23 (N = 92) both read the direct kernel.
+the direct count alone, the one AND-count kernel over the shifts
+1 .. N/2 of w(a, sigma(b)); autocorrelation_profile reads it below
+sequences._HALF_MIN_PERIOD and reads w's halves from there on.  The
+profile's stage runs with the halves cache as the other cases leave it;
+test_profile_cache times it cold, the cache emptied before each call
+(untimed), which is a class's first point; second, on the second grid
+point of one class (same s, the next r), the cache holding only the
+first (untimed), which is the point that tests whether x is constant;
+and warm, on the third point after the first two were seen.  At p = 23
+(N = 92) all three read the direct kernel.
 is_ideal is timed uncached on the base b: it is paid once per base, not
 once per pair.  The whole pair runs as a campaign point does,
 analyze_pair(a, b, sigma), with the is_ideal cache warm.
@@ -99,7 +102,7 @@ def test_stage(benchmark, stage, size):
 
 
 @pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("cache", ["cold", "warm"])
+@pytest.mark.parametrize("cache", ["cold", "second", "warm"])
 def test_profile_cache(benchmark, cache, size):
     benchmark.group = size
     a, b, sigma, _, w = pair(size)
@@ -110,6 +113,16 @@ def test_profile_cache(benchmark, cache, size):
     spec = next(s for s in harness.named_campaigns(name) if s.param == param)
     points = [g for g in spec.grid if g.s == sigma.s][:3]  # sigma's class, sigma first
     first, second, third = (tang_ding(a, apply_group(b, g)) for g in points)
+
+    def after_the_first_point():
+        clear_profile_cache()
+        autocorrelation_profile(first)
+
+    if cache == "second":
+        benchmark.pedantic(
+            autocorrelation_profile, (second,), setup=after_the_first_point, rounds=200
+        )
+        return
     clear_profile_cache()
     autocorrelation_profile(first)
     autocorrelation_profile(second)

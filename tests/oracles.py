@@ -3,10 +3,11 @@
 These are tools of the paper's proofs, not of any run: Lemma 1's period
 polynomial of w(a, b), the Gauss-sum indicator polynomials of a twin-prime
 pair, the CRT map from an index of w to its column bit, a bit-by-bit
-4-way interleaving, the autocorrelation at one shift, complementation, and
+4-way interleaving, the autocorrelation at one shift, complementation,
 the modular product and the substitution x -> x^k over packed GF(2)
-polynomials.  No seqlc command or campaign reaches them, so they live
-here, apart from the code they check.
+polynomials, and the optimal-autocorrelation verdict, which seqlc autocorr
+reads off its one profile instead.  No seqlc command or campaign reaches
+them, so they live here, apart from the code they check.
 
 The list references work on plain lists of 0/1 entries (bits_of and
 mask_of convert), so they share no code with the bit packing they check:
@@ -19,7 +20,7 @@ from typing import Literal
 
 from seqlc.f2poly import _bit_view, _mod_int, _mul_int, _require_polys, _view_mask
 from seqlc.numtheory import is_prime
-from seqlc.sequences import BinarySeq, shift
+from seqlc.sequences import BinarySeq, autocorrelation_profile, shift
 
 
 def mul_mod(f: int, g: int, m: int) -> int:
@@ -171,3 +172,16 @@ def gauss_sum_poly(
         if (i in residues) == (eps == 1):
             bits |= 1 << (multiplier * i)
     return bits
+
+
+def is_optimal(w: BinarySeq) -> bool:
+    """True iff every nonzero shift has autocorrelation 0 or -4.
+
+    Defined for periods divisible by 4, the residue class where {0, -4}
+    is the best achievable value set.  Reads the full profile, with no exit
+    at the first bad shift.
+    """
+    N = w.period
+    if N % 4 != 0:
+        raise ValueError(f"optimal autocorrelation needs period = 0 mod 4, got {N}")
+    return set(autocorrelation_profile(w)) <= {0, -4}

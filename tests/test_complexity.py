@@ -531,7 +531,7 @@ def test_package_exports_resolve():
     assert set(seqlc.__all__) == {
         "BinarySeq", "GroupElement", "LCReport", "analyze_pair", "apply_group",
         "autocorrelation_profile", "cyclotomic_classes6", "hall_seq",
-        "is_ideal", "is_optimal", "is_prime", "lc_berlekamp_massey", "lc_gcd",
+        "is_ideal", "is_prime", "lc_berlekamp_massey", "lc_gcd",
         "legendre_seq", "legendre_symbol", "m_sequence", "sample", "shift",
         "tang_ding", "twin_prime_seq", "two_adic_gcd", "two_adic_max", "z_set_sizes",
     }

@@ -34,8 +34,10 @@ from seqlc.harness import (
     theorem5_campaigns,
     theorem9_campaigns,
 )
+from seqlc.interleave import tang_ding
 from seqlc.numtheory import legendre_symbol
 from seqlc.sequences import (
+    BinarySeq,
     GroupElement,
     apply_group,
     hall_construction,
@@ -50,6 +52,7 @@ from oracles import (
     bits_of,
     complement,
     interleave4,
+    is_optimal,
     list_berlekamp_massey,
 )
 
@@ -160,9 +163,11 @@ def grid_above_the_halves_cutoff():
 # (HealthCheck.differing_executors), here and then under pytest.  Verify's
 # own checks on grid_above_the_halves_cutoff() catch none of them, and the
 # test records that.  On paper grids the LC is at most N/2 + 2, below K - 1
-# with K = ceil(5N/8), so Berlekamp-Massey's certificate always holds there,
-# and x is constant, so no constancy test can go wrong there.  Wrong room
-# arithmetic gives wrong LCs on paper grids only at n <= 31.
+# with K = ceil(5N/8), so Berlekamp-Massey's certificate always holds there.
+# x is |a| at every shift of any w(a, b), so no constancy test can go wrong
+# there, and e is read off a alone, so a key that ignores e errs only where
+# one o class meets two bases a.  Wrong room arithmetic gives wrong LCs on
+# paper grids only at n <= 31.
 INTERNAL_MUTANTS = {
     "bm-cut-without-fallback": (
         complexity, "_lfsr_length", "if room < floor:", "if False:",
@@ -177,14 +182,21 @@ INTERNAL_MUTANTS = {
         complexity, "_lfsr_length", "2 * d - 2 - room", "2 * d - room",
         "test_complexity::TestBerlekampMassey::test_every_sequence_up_to_period_10",
     ),
+    # x[P - 1] = x[0] read as x constant: the shifts P - 1 and P of o' twice.
     "halves-constant-flag-from-the-ends": (
-        sequences, "_half_counts", "min(x) == max(x)", "x[0] == x[-1]",
+        sequences, "_half_counts",
+        "p in _and_histogram(_view_mask(ev), _view_mask(doubled), 0, p)",
+        "2 in _and_histogram(_view_mask(ev), _view_mask(doubled), p - 1, p + 1)",
         "test_properties::TestCorrelationKernel::test_halves_of_a_class_whose_x_has_equal_ends",
     ),
-    "halves-later-point-reads-x-from-k-plus-1": (
-        sequences, "_half_counts", "xx[k:k + h], reversed(xx[k + p - h:k + p])",
-        "xx[k + 1:k + 1 + h], reversed(xx[k + 1 + p - h:k + 1 + p])",
-        "test_properties::TestCorrelationKernel::test_halves_of_a_class_whose_x_has_equal_ends",
+    # P - 1 shifts never give one value P times: no class is ever shared.
+    "halves-x-from-shift-1": (
+        sequences, "_half_counts", "_view_mask(doubled), 0, p)", "_view_mask(doubled), 1, p)",
+        "test_harness::TestRunCampaign::test_every_class_of_a_paper_grid_is_shared",
+    ),
+    "halves-key-ignores-e": (
+        sequences, "_half_counts", "key == ev and ov in doubled", "ov in doubled",
+        "test_properties::TestCorrelationKernel::test_halves_of_a_shared_class_and_a_new_e",
     ),
 }
 
@@ -281,6 +293,13 @@ class TestRunCampaign:
                 sizes.append(len(sequences._HALVES))
         assert max(sizes) == bound and sizes[-1] == bound
         assert sizes[:7] == [1, 2, 3, 4, 5, 6, 6]
+
+    def test_every_class_of_a_paper_grid_is_shared(self):
+        # x is constant on paper grids, so each class's second point marks
+        # it shared and every later point copies its counts.
+        run_campaigns(grid_above_the_halves_cutoff())
+        assert len(sequences._HALVES) == sequences._HALF_CLASSES
+        assert all(shared is True for *_, shared in sequences._HALVES)
 
     def test_theorem5_small(self):
         res = run_campaigns([theorem5_p7()])[0]
@@ -1139,6 +1158,38 @@ class TestCli:
         text = capsys.readouterr().out
         assert "A = -1: 6 shifts" in text
         assert "ideal: true" in text
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            legendre_seq(7),
+            BinarySeq(legendre_seq(11).mask ^ 1, 11),
+            tang_ding(legendre_seq(7), legendre_seq(7, "ell_prime")),
+            tang_ding(legendre_seq(43), legendre_seq(43, "ell_prime")),  # N = 172
+            BinarySeq(1, 12),
+            BinarySeq(0b1101, 5),
+        ],
+        ids=repr,
+    )
+    def test_autocorr_verdicts_read_its_one_profile(self, tmp_path, capsys, monkeypatch, a):
+        path = tmp_path / "a.txt"
+        path.write_text(a.to_string() + "\n")
+        profiles = []
+
+        def spy(seq):
+            profiles.append(sequences.autocorrelation_profile(seq))
+            return profiles[-1]
+
+        monkeypatch.setattr(cli, "autocorrelation_profile", spy)
+        assert main(["autocorr", str(path)]) == 0
+        (profile,) = profiles
+        n = a.period
+        lines = [f"period {n}"] + [f"A = {v}: {profile[v]} shifts" for v in sorted(profile)]
+        if n % 4 == 3:
+            lines.append(f"ideal: {str(is_ideal.__wrapped__(a)).lower()}")
+        if n % 4 == 0:
+            lines.append(f"optimal: {str(is_optimal(a)).lower()}")
+        assert capsys.readouterr().out == "\n".join(lines) + "\n"
 
     def test_verify_exit_code_and_output(self, tmp_path, capsys):
         out = tmp_path / "report.json"

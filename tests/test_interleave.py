@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from seqlc.interleave import is_optimal, tang_ding
+from seqlc.interleave import tang_ding
 from seqlc.sequences import BinarySeq, hall_seq, legendre_seq, shift
-from oracles import autocorrelation, bits_of, complement, crt_component, interleave4
+from oracles import (
+    autocorrelation, bits_of, complement, crt_component, interleave4, is_optimal,
+)
 
 
 class TestInterleave4:

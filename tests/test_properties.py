@@ -12,7 +12,8 @@ their cutoff, on a class's first, second and later points, with the odd
 half rotated and the even half kept, and after one bit of the even half
 is flipped.  A class is also checked at random rotations of o, when x, the
 cross-correlation of the halves, is constant (the Legendre pair above the
-cutoff) and when it varies (random w).  The templated JSON report
+cutoff) and when it varies (random w).  x of w(a, b) is checked to be |a|
+at every shift for random, non-ideal a and b.  The templated JSON report
 is checked against json.dumps(payload, indent=2) of the same results.  The
 one-loop gcd, the z-set sizes read from one gcd and the one-view w(a, b) are
 checked against their earlier definitions, kept here as references.  The
@@ -44,7 +45,7 @@ from seqlc.harness import (
     PairResult,
     results_to_json,
 )
-from seqlc.interleave import is_optimal, tang_ding
+from seqlc.interleave import tang_ding
 from seqlc.sequences import (
     _HALF_MIN_PERIOD,
     _HALVES,
@@ -68,6 +69,7 @@ from oracles import (
     complement,
     crt_component,
     interleave4,
+    is_optimal,
     list_autocorrelation,
     list_berlekamp_massey,
     mask_of,
@@ -243,6 +245,25 @@ class TestCorrelationKernel:
         x = cross_values(bits)
         assert x[0] == x[-1] and len(set(x)) > 1
         check_class_points(bits, [0, 1, 2])
+
+    @given(st.data())
+    def test_x_of_every_interleaving_is_the_weight_of_a(self, data):
+        # x(s) = |a| at every s for any a and b of period n = 3 (mod 4), ideal
+        # or not, so every class of w(a, b) is shared.
+        n = data.draw(periods.filter(lambda n: n % 4 == 3))
+        a, b = (seq(data.draw(bit_lists(st.just(n)))) for _ in "ab")
+        assume(not (is_ideal.__wrapped__(a) or is_ideal.__wrapped__(b)))
+        assert set(cross_values(entries(tang_ding(a, b)))) == {a.weight}
+
+    def test_halves_of_a_shared_class_and_a_new_e(self):
+        # o's class is shared under one e; under another e it is a new class.
+        bits = entries(tang_ding(legendre_seq(43), legendre_seq(43, "ell_prime")))
+        other = bits.copy()
+        other[0] ^= 1
+        clear_profile_cache()
+        for point in (bits, bits, other):
+            assert _half_counts(seq(point)) == _and_counts(seq(point))
+        assert len(_HALVES) == 2 and _HALVES[0][3] is True
 
     @given(bit_lists(periods.filter(lambda n: n % 4 == 3)))
     def test_is_ideal_random(self, bits):

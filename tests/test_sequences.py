@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from seqlc.interleave import is_optimal, tang_ding
+from seqlc.interleave import tang_ding
 from seqlc.numtheory import legendre_symbol
 from seqlc.sequences import (
     BinarySeq,
@@ -27,7 +27,7 @@ from seqlc.sequences import (
     shift,
     twin_prime_seq,
 )
-from oracles import autocorrelation, bits_of, complement, list_autocorrelation
+from oracles import autocorrelation, bits_of, complement, is_optimal, list_autocorrelation
 
 
 def rotations(bits):
